@@ -1,10 +1,10 @@
 """Deterministic, error-compensated reductions for grid quadratures.
 
-All table entries and quadratures go through these helpers so that results
-are bit-identical across runs and insensitive to the usual accumulation
-drift near inequality thresholds.  Arrays are reduced in a fixed order:
-contiguous blocks are summed with numpy, then the block partials are
-combined exactly with math.fsum.
+The oracle, the c tables and the check quadratures go through these
+helpers so that results are bit-identical across runs and insensitive to
+the usual accumulation drift near inequality thresholds.  Arrays are
+reduced in a fixed order: contiguous blocks are summed with numpy, then the
+block partials are combined exactly with math.fsum.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ def csum(x: np.ndarray):
     if np.iscomplexobj(x):
         return complex(_fsum(parts.real), _fsum(parts.imag))
     return _fsum(parts)
-
-
-def cmean(x: np.ndarray, denom: int):
-    """Compensated sum divided by an explicit cell count."""
-    return csum(x) / denom
 
 
 def csum_rows(prod: np.ndarray) -> np.ndarray:

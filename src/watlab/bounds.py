@@ -349,15 +349,6 @@ def log_integral_bound_check(
     )
 
 
-def _masked_unit_data(f: TrigSymbol, nu, resolution, e_tol):
-    sampling = f.evaluate_on_grid(resolution)
-    E = unit_modulus_set(sampling, e_tol)
-    vals = sampling.samples.ravel()
-    mask = E.mask.ravel()
-    phase = grid_phase(sampling.resolution, nu).ravel()
-    return E, vals[mask], phase[mask], sampling.size
-
-
 def identity_check(
     f: TrigSymbol,
     nu: Sequence[int],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from watlab import coeffs
 from watlab.coeffs import (
     DiagonalTable,
     TableError,
@@ -20,6 +21,16 @@ def make_table(f, nu, n_range, k_window, grid, e_tol=1e-9):
 def test_constant_i_delta_table():
     tab = make_table(TrigSymbol.constant(1j), (1,), (0, 8), 4, 64)
     for n in range(0, 9):
+        for k in tab.k_values:
+            expected = 1j**n if n == k else 0.0
+            assert abs(tab.entry(n, k) - expected) <= 1e-12
+
+
+def test_constant_i_delta_table_torus2():
+    # |f| = 1 on all of T^2, so this d=2 table is not degenerate.
+    tab = make_table(TrigSymbol.constant(1j, 2), (1, 1), (-6, 6), 3, (32, 32))
+    assert not tab.degenerate
+    for n in range(-6, 7):
         for k in tab.k_values:
             expected = 1j**n if n == k else 0.0
             assert abs(tab.entry(n, k) - expected) <= 1e-12
@@ -58,6 +69,39 @@ def test_oracle_equivalence(blaschke_half):
         for k in (-4, -1, 0, 2, 4):
             direct = brute_force_b(blaschke_half, (1,), n, k, 2048)
             assert abs(tab.entry(n, k) - direct) <= 1e-9
+
+
+TWO_ZERO_GRID = 1024
+
+
+@pytest.fixture(scope="module")
+def two_zero_oracle():
+    """A two-zero Blaschke product and brute_force_b over n -64..64, |k| <= 8."""
+    f = TrigSymbol.blaschke([0.5, -0.3 + 0.2j])
+    direct = np.array([
+        [brute_force_b(f, (1,), n, k, TWO_ZERO_GRID) for k in range(-8, 9)]
+        for n in range(-64, 65)
+    ])
+    return f, direct
+
+
+def two_zero_error(two_zero_oracle):
+    f, direct = two_zero_oracle
+    tab = make_table(f, (1,), (-64, 64), 8, TWO_ZERO_GRID)
+    return float(np.abs(tab.values - direct).max())
+
+
+def test_oracle_equivalence_wide_window(two_zero_oracle):
+    assert two_zero_error(two_zero_oracle) <= 1e-12
+
+
+def test_kernel_half_width_sets_accuracy(monkeypatch, two_zero_oracle):
+    err_default = two_zero_error(two_zero_oracle)
+    monkeypatch.setattr(coeffs, "NUFFT_HALF_WIDTH", 10)
+    assert two_zero_error(two_zero_oracle) >= 100 * err_default
+    # 6 points per side fails the oracle tolerance of acceptance criterion 7.
+    monkeypatch.setattr(coeffs, "NUFFT_HALF_WIDTH", 6)
+    assert two_zero_error(two_zero_oracle) > 1e-9
 
 
 def test_brute_force_trivials():
@@ -99,6 +143,7 @@ def test_csv_roundtrip_bytes(tmp_path, blaschke_half):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()
     assert "n,k,re,im,abs2" in header
+    assert "# engine: nufft-gauss oversampling=2 half_width=14" in header
 
 
 def test_table_index_errors(blaschke_half):
