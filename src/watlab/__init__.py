@@ -13,7 +13,6 @@ from .symbols import (
     fourier_coefficient,
     sup_norm,
     unit_modulus_set,
-    vanishing_on_halfspace,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "product_halfspace",
     "sup_norm",
     "unit_modulus_set",
-    "vanishing_on_halfspace",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .accum import NeumaierSum, csum
-from .coeffs import DiagonalTable, compute_b_table, required_resolution
+from .coeffs import DiagonalTable, compute_b_table, masked_integrand, required_resolution
 from .iterlog import IteratedLogParams, big_l, find_constants, log_iter
 from .lattice import HalfSpace
 from .symbols import SymbolError, TrigSymbol, grid_phase, unit_modulus_set
@@ -292,16 +292,25 @@ def szego_check(
 # -- double-integral machinery -------------------------------------------------
 
 
+def _cap_double_grid(cells: int) -> None:
+    if cells > MAX_DOUBLE_GRID_POINTS:
+        raise SymbolError(f"double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} cells, got {cells}")
+
+
 def _flat_grid(f: TrigSymbol, nu: Sequence[int], resolution) -> tuple[np.ndarray, np.ndarray, int]:
     sampling = f.evaluate_on_grid(resolution)
     total = sampling.size
-    if total > MAX_DOUBLE_GRID_POINTS:
-        raise SymbolError(
-            f"double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} grid cells, got {total}"
-        )
+    _cap_double_grid(total)
     vals = sampling.samples.ravel()
     phase = grid_phase(sampling.resolution, nu).ravel()
     return vals, phase, total
+
+
+def _kernel_modulus(vals: np.ndarray, phase: np.ndarray, r: float) -> np.ndarray:
+    """|F(x, y)| for F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)) over
+    pairs of cells with values ``vals`` and phases nu . x ``phase``."""
+    e = np.exp(2j * np.pi * phase)
+    return np.abs(np.outer(e, np.conj(e)) - r * np.outer(vals, np.conj(vals)))
 
 
 def log_integral_bound_check(
@@ -322,9 +331,7 @@ def log_integral_bound_check(
         raise HypothesisViolation("f-hat(0) = 0")
     nu = tuple(int(v) for v in nu)
     vals, phase, total = _flat_grid(f, nu, resolution)
-    e = np.exp(2j * np.pi * phase)
-    F = np.outer(e, np.conj(e)) - r * np.outer(vals, np.conj(vals))
-    mods = np.abs(F)
+    mods = _kernel_modulus(vals, phase, r)
     excluded = int(np.count_nonzero(mods < LOG_FLOOR))
     np.clip(mods, LOG_FLOOR, None, out=mods)
     abslog = np.abs(np.log(mods))
@@ -379,13 +386,8 @@ def identity_check(
             passed=True,
             details={"degenerate": True, "two_sided": True},
         )
-    vals = sampling.samples.ravel()[E.mask.ravel()]
-    phase = grid_phase(sampling.resolution, nu).ravel()[E.mask.ravel()]
-    if n >= 0:
-        w = vals**n
-    else:
-        w = np.conj(vals) ** (-n)
-    u = w * np.exp(-2j * np.pi * (n - k) * phase)
+    u = masked_integrand(E, nu, n, k)[2]
+    _cap_double_grid(u.size)
     pair = np.outer(u, np.conj(u))
     integral = csum(pair.ravel()) / sampling.size**2
     rhs = float(integral.real)
@@ -453,20 +455,9 @@ def abel_series_check(
     if table.degenerate:
         rhs = 0.0
     else:
-        vals = sampling.samples.ravel()[E.mask.ravel()]
-        phase = grid_phase(sampling.resolution, nu).ravel()[E.mask.ravel()]
-        if vals.size > MAX_DOUBLE_GRID_POINTS:
-            raise SymbolError(
-                f"double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} masked cells"
-            )
-        if N >= 0:
-            w = vals**N
-        else:
-            w = np.conj(vals) ** (-N)
-        u = w * np.exp(-2j * np.pi * (N - k) * phase)
-        e = np.exp(2j * np.pi * phase)
-        F = np.outer(e, np.conj(e)) - r * np.outer(vals, np.conj(vals))
-        mods = np.clip(np.abs(F), LOG_FLOOR, None)
+        vals, phase, u = masked_integrand(E, nu, N, k)
+        _cap_double_grid(u.size)
+        mods = np.clip(_kernel_modulus(vals, phase, r), LOG_FLOOR, None)
         weight = np.log(1.0 / mods)
         pair = np.outer(u, np.conj(u)) * weight
         rhs = 2.0 * float(csum(pair.ravel()).real) / sampling.size**2

@@ -1,17 +1,20 @@
 """Command-line orchestration: reproducible table builds, bound checks,
 exploratory probes, and report emission.
 
-Exit codes: 0 all enabled checks pass, 2 a check failed, 64 invalid usage or
-config, 65 a hypothesis of the verified inequalities is violated by the
-configured symbol (sup norm above 1, f-hat(0) = 0, spectrum not vanishing on
-the half-space, or nu outside the reflected half-space).
+Exit codes: 0 all enabled checks pass, 2 a check failed, 64 invalid usage,
+config or grid (too coarse for a table, or too large for a double-grid check),
+65 a hypothesis of the verified inequalities is violated by the configured
+symbol (sup norm above 1, f-hat(0) = 0, spectrum not vanishing on the
+half-space, or nu outside the reflected half-space).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -28,12 +31,12 @@ from .bounds import (
     szego_check,
     theorem_constant,
 )
-from .coeffs import compute_b_table
+from .coeffs import TableError, compute_b_table
 from .config import ConfigError, RunConfig, load_config
 from .explorer import decay_fit, tail_series
 from .iterlog import find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
-from .symbols import sup_norm, unit_modulus_set
+from .symbols import SymbolError, sup_norm, unit_modulus_set
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -75,80 +78,55 @@ def build_table(cfg: RunConfig):
     return table
 
 
-def _k_list(spec, table) -> list[int]:
-    if spec == "window":
-        return list(table.k_values)
-    return [int(k) for k in spec]
+# Check id -> (its list-valued parameters with their defaults, the verifier of
+# one point of their product).  A "k" of "window" stands for the table's k
+# window.  A verifier takes (cfg, table, C, check entry, *point) and looks the
+# check function up at call time, so wrappers set on this module take effect.
+CHECKS = {
+    "weighted_series": (
+        {"N": [0], "k": "window"},
+        lambda cfg, t, C, c, N, k: check_weighted_series(t, N, k, C)),
+    "mean_ii": (
+        {"p": [10], "k": "window"},
+        lambda cfg, t, C, c, p, k: check_mean_bound_ii(t, c.get("M", 1), p, k, C)),
+    "mean_iii": (
+        {"p": [10], "k": [0]},
+        lambda cfg, t, C, c, p, k: check_mean_bound_iii(
+            t, *astuple(find_constants(c.get("q", 1))), c.get("M", 1), p, k, C)),
+    "mean_iv": (
+        {"p": [10], "k": "window"},
+        lambda cfg, t, C, c, p, k: check_mean_bound_iv(t, c.get("q", 1), c.get("M", 1), p, k, C)),
+    "szego": (
+        {},
+        lambda cfg, t, C, c: szego_check(cfg.symbol, cfg.halfspace, c.get("grid", cfg.grid))),
+    "identity": (
+        {"n": [1], "k": [0]},
+        lambda cfg, t, C, c, n, k: identity_check(
+            cfg.symbol, cfg.nu, n, k, c.get("grid", 256), e_tol=cfg.e_tol)),
+    "log_integral": (
+        {"r": [0.5]},
+        lambda cfg, t, C, c, r: log_integral_bound_check(
+            cfg.symbol, cfg.nu, r, c.get("grid", 128), e_tol=cfg.e_tol)),
+    "abel": (
+        {},
+        lambda cfg, t, C, c: abel_series_check(
+            cfg.symbol, cfg.nu, c.get("N", 0), c.get("k", 0), c.get("r", 0.9),
+            c.get("n_trunc", 200), c.get("grid", 512), e_tol=cfg.e_tol)),
+}
 
 
 def run_checks(cfg: RunConfig, table, only: set[str] | None = None) -> list[BoundReport]:
     C = theorem_constant(cfg.symbol.coefficient_at_zero())
     reports: list[BoundReport] = []
     for check in cfg.checks:
-        cid = check["id"]
-        if only is not None and cid not in only:
+        if only is not None and check["id"] not in only:
             continue
-        if cid == "weighted_series":
-            for N in check.get("N", [0]):
-                for k in _k_list(check.get("k", "window"), table):
-                    reports.append(check_weighted_series(table, N, k, C))
-        elif cid == "mean_ii":
-            for p in check.get("p", [10]):
-                for k in _k_list(check.get("k", "window"), table):
-                    reports.append(
-                        check_mean_bound_ii(table, check.get("M", 1), p, k, C)
-                    )
-        elif cid == "mean_iii":
-            params = find_constants(check.get("q", 1))
-            for p in check.get("p", [10]):
-                for k in _k_list(check.get("k", [0]), table):
-                    reports.append(
-                        check_mean_bound_iii(
-                            table, params.q, params.alpha, params.gamma,
-                            check.get("M", 1), p, k, C,
-                        )
-                    )
-        elif cid == "mean_iv":
-            q = check.get("q", 1)
-            params = find_constants(q)
-            for p in check.get("p", [10]):
-                for k in _k_list(check.get("k", "window"), table):
-                    reports.append(
-                        check_mean_bound_iv(
-                            table, q, check.get("M", 1), p, k, C, params=params
-                        )
-                    )
-        elif cid == "szego":
-            reports.append(
-                szego_check(cfg.symbol, cfg.halfspace, check.get("grid", cfg.grid))
-            )
-        elif cid == "identity":
-            for n in check.get("n", [1]):
-                for k in check.get("k", [0]):
-                    reports.append(
-                        identity_check(
-                            cfg.symbol, cfg.nu, n, k,
-                            check.get("grid", 256), e_tol=cfg.e_tol,
-                        )
-                    )
-        elif cid == "log_integral":
-            for r in check.get("r", [0.5]):
-                reports.append(
-                    log_integral_bound_check(
-                        cfg.symbol, cfg.nu, r, check.get("grid", 128), e_tol=cfg.e_tol
-                    )
-                )
-        elif cid == "abel":
-            reports.append(
-                abel_series_check(
-                    cfg.symbol, cfg.nu,
-                    check.get("N", 0), check.get("k", 0),
-                    check.get("r", 0.9), check.get("n_trunc", 200),
-                    check.get("grid", 512), e_tol=cfg.e_tol,
-                )
-            )
-        else:
-            raise ConfigError(f"unknown check id {cid!r}")
+        lists, verify = CHECKS[check["id"]]
+        axes = {name: check.get(name, default) for name, default in lists.items()}
+        if axes.get("k") == "window":
+            axes["k"] = table.k_values
+        for point in itertools.product(*axes.values()):
+            reports.append(verify(cfg, table, C, check, *point))
     reports.sort(key=lambda r: (r.check_id, json.dumps(r.params, sort_keys=True)))
     return reports
 
@@ -195,7 +173,13 @@ def _load_run_config(args) -> RunConfig:
         doc["grid"] = [int(g) for g in args.grid.split(",")]
     if args.tol_e is not None:
         doc["e_tol"] = args.tol_e
-    return RunConfig.from_dict(doc)
+    cfg = RunConfig.from_dict(doc)
+    asked = [c["id"] for c in cfg.checks] + (args.checks.split(",") if args.checks else [])
+    # a tuple, not the dict: a malformed id may be unhashable
+    unknown = [cid for cid in asked if cid not in tuple(CHECKS)]
+    if unknown:
+        raise ConfigError(f"unknown check ids {unknown}; available: {', '.join(CHECKS)}")
+    return cfg
 
 
 def _add_common(sub) -> None:
@@ -239,25 +223,27 @@ def _cmd_szego(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_table(args) -> int:
+def _build(args, subdir: str = ""):
+    """Load and gate the run config, create ``--out`` (and ``subdir`` in it),
+    build the table and write table.csv; returns (cfg, out, table)."""
     cfg = _load_run_config(args)
     verify_hypotheses(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / subdir).mkdir(parents=True, exist_ok=True)
     table = build_table(cfg)
     table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
+    return cfg, out, table
+
+
+def _cmd_table(args) -> int:
+    cfg, out, _ = _build(args)
     write_manifest(cfg, out, "table", ["table.csv"])
     print(f"table written to {out / 'table.csv'}")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_run_config(args)
-    verify_hypotheses(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = build_table(cfg)
-    table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
+    cfg, out, table = _build(args)
     only = set(args.checks.split(",")) if args.checks else None
     reports = run_checks(cfg, table, only=only)
     write_reports(reports, out / "reports.jsonl")
@@ -271,13 +257,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    cfg = _load_run_config(args)
-    verify_hypotheses(cfg)
-    out = Path(args.out)
+    cfg, out, table = _build(args, "plots")
     plots = out / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
-    table = build_table(cfg)
-    table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     summary = {}
     outputs = ["table.csv", "summary.json"]
     for weight, q, fname in (("1/n", None, "tail_inv_n"), ("Lq/n", 1, "tail_l1_over_n")):
@@ -323,6 +304,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    except (SymbolError, TableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,6 +133,14 @@ def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
     return samples, phase
 
 
+def masked_integrand(E: UnitModulusSet, nu: Sequence[int], n: int, k: int):
+    """Samples of f and nu . x on E, and the integrand of b_{n,n-k} there:
+    u = f^n e^{-2 pi i (n-k) nu . x}, with f^n = conj(f)^{-n} for n < 0."""
+    samples, phase = _masked_geometry(E, nu)
+    w = samples**n if n >= 0 else np.conj(samples) ** (-n)
+    return samples, phase, w * np.exp(-2j * np.pi * (n - k) * phase)
+
+
 def _nufft_type1(
     theta: np.ndarray, phase: np.ndarray, k_values: Sequence[int], n_min: int, n_max: int
 ) -> np.ndarray:
@@ -230,13 +238,7 @@ def brute_force_b(
     E = unit_modulus_set(sampling, e_tol)
     if E.measure == 0.0:
         return 0j
-    samples, phase = _masked_geometry(E, nu)
-    if n >= 0:
-        w = samples**n
-    else:
-        w = np.conj(samples) ** (-n)
-    vals = w * np.exp(-2j * np.pi * (n - k) * phase)
-    return csum(vals) / sampling.size
+    return csum(masked_integrand(E, nu, n, k)[2]) / sampling.size
 
 
 @dataclass

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from .lattice import HalfSpace, LatticeError
-from .symbols import SymbolError, TrigSymbol
+from .symbols import DEFAULT_E_TOL, SymbolError, TrigSymbol
 
 SCHEMA_VERSION = 1
-
-DEFAULT_E_TOL = 1e-9
 
 
 class ConfigError(ValueError):

@@ -158,8 +158,9 @@ class TrigSymbol:
                 abs(c) <= tol for xi, c in self.spectrum if halfspace.contains(xi)
             )
         if self.family == "blaschke":
-            # analytic on the disk: spectrum is {0, 1, 2, ...}
-            return not any(halfspace.contains((n,)) for n in range(0, 3))
+            # analytic on the disk: spectrum is {0, 1, 2, ...}.  A half-space
+            # of Z is one of the two open rays, so it never holds 0.
+            return not halfspace.contains((1,))
         return True  # constants have spectrum {0}
 
     # -- evaluation ----------------------------------------------------------
@@ -237,9 +238,3 @@ def unit_modulus_set(sampling: GridSampling, tol: float = DEFAULT_E_TOL) -> Unit
     mask = np.abs(np.abs(sampling.samples) - 1.0) <= tol
     measure = float(np.count_nonzero(mask)) / sampling.size
     return UnitModulusSet(sampling=sampling, mask=mask, tol=tol, measure=measure)
-
-
-def vanishing_on_halfspace(
-    f: TrigSymbol, halfspace: HalfSpace, tol: float = 0.0
-) -> bool:
-    return f.vanishes_on(halfspace, tol)

@@ -203,7 +203,7 @@ def test_identity_blaschke(blaschke_half):
 
 
 def test_identity_sweep(blaschke_half):
-    for n in (1, 4, 9, 16):
+    for n in (-2, 1, 4, 9, 16):
         for k in (-3, 0, 2):
             rep = identity_check(blaschke_half, (1,), n, k, 256)
             assert rep.details["abs_difference"] <= 1e-10

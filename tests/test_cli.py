@@ -1,4 +1,7 @@
 import json
+import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,80 @@ def test_usage_errors(tmp_path, capsys):
     unknown = write_config(tmp_path, small_preset(bogus_field=1), "unknown.json")
     assert run(["check", "--config", unknown]) == cli.EXIT_USAGE
     capsys.readouterr()
+    # grids a check cannot take: above the double-grid cap, or not a power of two
+    def check(*args):
+        return run(["check", *args, "--out", str(tmp_path / "out")])
+
+    for entry in (
+        {"id": "abel", "grid": 4096},
+        {"id": "log_integral", "grid": 4096},
+        {"id": "identity", "grid": 4096},
+        {"id": "identity", "grid": 100},
+    ):
+        cfg = write_config(tmp_path, small_preset(checks=[entry]), "grid.json")
+        assert check("--config", cfg) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+    # a table grid below the resolution the n range needs
+    assert check("--preset", "blaschke-half", "--grid", "64") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    # unknown check ids are refused before the table is built
+    fresh = tmp_path / "fresh"
+    bogus = write_config(tmp_path, small_preset(checks=[{"id": "bogus"}]), "bogus.json")
+    for source in (["--preset", "blaschke-half", "--checks", "weighted_seris"], ["--config", bogus]):
+        assert run(["check", *source, "--out", str(fresh)]) == cli.EXIT_USAGE
+        assert not (fresh / "table.csv").exists()
+    capsys.readouterr()
+
+
+# The parameters a bare {"id": X} has always expanded to, on a table with
+# k window 1 (alpha and gamma are the q = 1 constants).
+ALPHA_1 = 1.0 / math.log(3.0)
+BARE_CHECK_PARAMS = {
+    "weighted_series": [{"N": 0, "k": k} for k in (-1, 0, 1)],
+    "mean_ii": [{"M": 1, "p": 10, "k": k} for k in (-1, 0, 1)],
+    "mean_iii": [{"q": 1, "alpha": ALPHA_1, "gamma": 3.0, "M": 1, "p": 10, "k": 0}],
+    "mean_iv": [
+        {"q": 1, "alpha": ALPHA_1, "gamma": 3.0, "M": 1, "p": 10, "k": k} for k in (-1, 0, 1)
+    ],
+    "szego": [{"resolution": [512]}],
+    "identity": [{"n": 1, "k": 0}],
+    "log_integral": [{"r": 0.5, "resolution": 128}],
+    "abel": [{"N": 0, "k": 0, "r": 0.9, "n_trunc": 200}],
+}
+
+
+def test_bare_check_defaults(tmp_path):
+    assert set(cli.CHECKS) == set(BARE_CHECK_PARAMS)
+    doc = small_preset(k_window=1, checks=[{"id": cid} for cid in cli.CHECKS])
+    out = tmp_path / "out"
+    assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    got = [json.loads(line)["params"] for line in (out / "reports.jsonl").read_text().splitlines()]
+    want = [params for expected in BARE_CHECK_PARAMS.values() for params in expected]
+
+    def canonical(params_list):
+        return sorted(json.dumps(p, sort_keys=True) for p in params_list)
+
+    assert canonical(got) == canonical(want)
+
+
+def test_benchmark_tracer_sees_every_check(tmp_path, monkeypatch):
+    """The benchmark's tracer wraps the check functions on the cli module;
+    the registry must reach them through it, once per report."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import CHECK_IDS, Tracer
+
+    assert set(CHECK_IDS) == set(cli.CHECKS)
+    doc = small_preset(k_window=0, checks=[{"id": cid} for cid in cli.CHECKS])
+    cfg = write_config(tmp_path, doc)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = run(["check", "--config", cfg, "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    spans = Counter(span[0] for span in tracer.spans)
+    assert {cid: spans[f"bounds.{cid}"] for cid in cli.CHECKS} == dict.fromkeys(cli.CHECKS, 1)
 
 
 def test_config_and_preset_conflict(tmp_path):

@@ -12,7 +12,6 @@ from watlab.symbols import (
     fourier_coefficient,
     sup_norm,
     unit_modulus_set,
-    vanishing_on_halfspace,
 )
 
 # Taylor expansion of (z + a)/(1 + a z) for a = 1/2:
@@ -85,16 +84,18 @@ def test_sup_norm_examples(blaschke_half):
     assert sup_norm(blaschke_half.evaluate_on_grid(1024)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_vanishing_on_halfspace(neg_halfline):
+def test_vanishing_on_halfspace(neg_halfline, blaschke_half):
     f_plus = TrigSymbol.trig_polynomial(1, {(1,): 1.0})
     f_minus = TrigSymbol.trig_polynomial(1, {(-1,): 1.0})
-    assert vanishing_on_halfspace(f_plus, neg_halfline)
-    assert not vanishing_on_halfspace(f_minus, neg_halfline)
+    assert f_plus.vanishes_on(neg_halfline)
+    assert not f_minus.vanishes_on(neg_halfline)
+    assert blaschke_half.vanishes_on(neg_halfline)
+    assert not blaschke_half.vanishes_on(HalfSpace.standard(1))
 
 
 def test_vanishing_torus2(torus2_degenerate):
-    assert vanishing_on_halfspace(torus2_degenerate, HalfSpace.negative(2))
-    assert not vanishing_on_halfspace(torus2_degenerate, HalfSpace.standard(2))
+    assert torus2_degenerate.vanishes_on(HalfSpace.negative(2))
+    assert not torus2_degenerate.vanishes_on(HalfSpace.standard(2))
 
 
 def test_unit_modulus_set_inner(blaschke_half):
