@@ -5,6 +5,11 @@ parameters, both sides of the inequality, the margin, and truncation or
 quadrature metadata.  Truncated series of nonnegative terms are reported as
 lower bounds of the infinite sum, so a truncated pass is necessary but not
 sufficient; the report labels this explicitly.
+
+The double-grid checks (log-integral bound, Abel series, identity) walk
+their pair grid in row blocks of about PAIR_BLOCK_CELLS cells into a
+``StreamingSum``, in the same compensated order as ``csum`` of the whole
+grid, so they never hold it and their values match that sum to the bit.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .accum import NeumaierSum, csum
+from .accum import NeumaierSum, StreamingSum, csum
 from .coeffs import DiagonalTable, compute_b_table, masked_integrand, required_resolution
 from .iterlog import IteratedLogParams, big_l, find_constants, log_iter
 from .lattice import HalfSpace
@@ -33,6 +38,9 @@ LOG_FLOOR = 1e-300
 # from the log|f| quadrature and counted.
 ZERO_NODE_FLOOR = 1e-12
 MAX_DOUBLE_GRID_POINTS = 2048
+# Pair-grid cells held at once: 4 MiB of complex values per block, where the
+# whole pair grid of a MAX_DOUBLE_GRID_POINTS-cell check takes 64 MiB.
+PAIR_BLOCK_CELLS = 2**18
 
 
 class HypothesisViolation(ValueError):
@@ -306,11 +314,23 @@ def _flat_grid(f: TrigSymbol, nu: Sequence[int], resolution) -> tuple[np.ndarray
     return vals, phase, total
 
 
-def _kernel_modulus(vals: np.ndarray, phase: np.ndarray, r: float) -> np.ndarray:
-    """|F(x, y)| for F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)) over
-    pairs of cells with values ``vals`` and phases nu . x ``phase``."""
+def _row_blocks(n: int, m: int):
+    """Slices of consecutive rows of an n x m pair grid, each about
+    PAIR_BLOCK_CELLS cells, in order."""
+    step = max(1, PAIR_BLOCK_CELLS // max(m, 1))
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def _kernel_modulus(vals: np.ndarray, phase: np.ndarray, r: float, rows: slice) -> np.ndarray:
+    """|F(x, y)| for F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)), x in
+    the cells ``rows`` and y in all cells, with values ``vals`` and phases
+    nu . x ``phase``."""
     e = np.exp(2j * np.pi * phase)
-    return np.abs(np.outer(e, np.conj(e)) - r * np.outer(vals, np.conj(vals)))
+    F = np.multiply.outer(e[rows], np.conj(e))
+    rf = np.multiply.outer(vals[rows], np.conj(vals))
+    np.multiply(rf, r, out=rf)
+    np.subtract(F, rf, out=F)
+    return np.abs(F)
 
 
 def log_integral_bound_check(
@@ -331,16 +351,23 @@ def log_integral_bound_check(
         raise HypothesisViolation("f-hat(0) = 0")
     nu = tuple(int(v) for v in nu)
     vals, phase, total = _flat_grid(f, nu, resolution)
-    mods = _kernel_modulus(vals, phase, r)
-    excluded = int(np.count_nonzero(mods < LOG_FLOOR))
-    np.clip(mods, LOG_FLOOR, None, out=mods)
-    abslog = np.abs(np.log(mods))
-    lhs = float(csum(abslog.ravel())) / total**2
-    rhs = math.log(4.0 / (r * abs(f0) ** 2))
     # restriction to E x E can only shrink the integral; recorded for reference
     mask = np.abs(np.abs(vals) - 1.0) <= e_tol
-    pair_mask = np.outer(mask, mask)
-    lhs_restricted = float(csum(abslog[pair_mask].ravel())) / total**2
+    full_E = bool(mask.all())  # then E x E is the whole grid, summed once
+    whole, on_E = StreamingSum(), StreamingSum()
+    excluded = 0
+    for rows in _row_blocks(total, total):
+        abslog = _kernel_modulus(vals, phase, r, rows)
+        excluded += int(np.count_nonzero(abslog < LOG_FLOOR))
+        np.clip(abslog, LOG_FLOOR, None, out=abslog)
+        np.log(abslog, out=abslog)
+        np.abs(abslog, out=abslog)
+        whole.add(abslog)
+        if not full_E:
+            on_E.add(abslog[np.ix_(mask[rows], mask)])
+    lhs = float(whole.value) / total**2
+    lhs_restricted = lhs if full_E else float(on_E.value) / total**2
+    rhs = math.log(4.0 / (r * abs(f0) ** 2))
     return BoundReport(
         check_id="log_integral_bound",
         params={"r": r, "resolution": resolution if isinstance(resolution, int) else list(resolution)},
@@ -388,8 +415,11 @@ def identity_check(
         )
     u = masked_integrand(E, nu, n, k)[2]
     _cap_double_grid(u.size)
-    pair = np.outer(u, np.conj(u))
-    integral = csum(pair.ravel()) / sampling.size**2
+    u_conj = np.conj(u)
+    acc = StreamingSum()
+    for rows in _row_blocks(u.size, u.size):
+        acc.add(np.multiply.outer(u[rows], u_conj))
+    integral = acc.value / sampling.size**2
     rhs = float(integral.real)
     diff = abs(lhs - rhs)
     return BoundReport(
@@ -457,10 +487,17 @@ def abel_series_check(
     else:
         vals, phase, u = masked_integrand(E, nu, N, k)
         _cap_double_grid(u.size)
-        mods = np.clip(_kernel_modulus(vals, phase, r), LOG_FLOOR, None)
-        weight = np.log(1.0 / mods)
-        pair = np.outer(u, np.conj(u)) * weight
-        rhs = 2.0 * float(csum(pair.ravel()).real) / sampling.size**2
+        u_conj = np.conj(u)
+        acc = StreamingSum()
+        for rows in _row_blocks(u.size, u.size):
+            weight = _kernel_modulus(vals, phase, r, rows)
+            np.clip(weight, LOG_FLOOR, None, out=weight)
+            np.divide(1.0, weight, out=weight)
+            np.log(weight, out=weight)
+            pair = np.multiply.outer(u[rows], u_conj)
+            np.multiply(pair, weight, out=pair)
+            acc.add(pair)
+        rhs = 2.0 * float(acc.value.real) / sampling.size**2
 
     tail = r ** (n_trunc + 1) / ((n_trunc + 1) * (1.0 - r))
     tolerance = base_tol + tail

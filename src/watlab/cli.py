@@ -36,7 +36,7 @@ from .config import ConfigError, RunConfig, load_config
 from .explorer import decay_fit, tail_series
 from .iterlog import find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
-from .symbols import SymbolError, sup_norm, unit_modulus_set
+from .symbols import GridSampling, SymbolError, sup_norm, unit_modulus_set
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -51,8 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def verify_hypotheses(cfg: RunConfig) -> None:
-    """Gate a run on the standing hypotheses; raises HypothesisViolation."""
+def verify_hypotheses(cfg: RunConfig) -> GridSampling:
+    """Gate a run on the standing hypotheses; raises HypothesisViolation.
+    Returns the symbol's sampling on the run grid, for ``build_table``."""
     if cfg.symbol.coefficient_at_zero() == 0:
         raise HypothesisViolation("hypothesis violated: f-hat(0) = 0")
     if not cfg.symbol.vanishes_on(cfg.halfspace):
@@ -67,10 +68,14 @@ def verify_hypotheses(cfg: RunConfig) -> None:
         raise HypothesisViolation(
             f"hypothesis violated: sup norm {norm} exceeds 1"
         )
+    return sampling
 
 
-def build_table(cfg: RunConfig):
-    sampling = cfg.symbol.evaluate_on_grid(cfg.grid)
+def build_table(cfg: RunConfig, sampling: GridSampling | None = None):
+    """The run's table; ``sampling`` is the symbol on the run grid, evaluated
+    here if not given."""
+    if sampling is None:
+        sampling = cfg.symbol.evaluate_on_grid(cfg.grid)
     E = unit_modulus_set(sampling, cfg.e_tol)
     table = compute_b_table(
         cfg.symbol, E, cfg.nu, (cfg.n_min, cfg.n_max), cfg.k_window
@@ -179,6 +184,11 @@ def _load_run_config(args) -> RunConfig:
     unknown = [cid for cid in asked if cid not in tuple(CHECKS)]
     if unknown:
         raise ConfigError(f"unknown check ids {unknown}; available: {', '.join(CHECKS)}")
+    for check in cfg.checks:
+        for name in CHECKS[check["id"]][0]:
+            value = check.get(name, [])
+            if not (isinstance(value, list) or (name == "k" and value == "window")):
+                raise ConfigError(f"check {check['id']!r}: {name} must be a list, got {value!r}")
     return cfg
 
 
@@ -227,10 +237,10 @@ def _build(args, subdir: str = ""):
     """Load and gate the run config, create ``--out`` (and ``subdir`` in it),
     build the table and write table.csv; returns (cfg, out, table)."""
     cfg = _load_run_config(args)
-    verify_hypotheses(cfg)
+    sampling = verify_hypotheses(cfg)
     out = Path(args.out)
     (out / subdir).mkdir(parents=True, exist_ok=True)
-    table = build_table(cfg)
+    table = build_table(cfg, sampling)
     table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     return cfg, out, table
 

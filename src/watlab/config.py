@@ -24,6 +24,18 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _convert(name: str, convert, value):
+    """``convert(value)``, with a malformed value reported as a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed {name}: {value!r}") from exc
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 def parse_symbol(doc: dict) -> TrigSymbol:
     _require(isinstance(doc, dict), "symbol must be an object")
     dim = doc.get("dimension", 1)
@@ -90,16 +102,16 @@ class RunConfig:
         symbol = parse_symbol(doc["symbol"])
         halfspace = parse_halfspace(doc.get("halfspace"), symbol.dimension)
         _require("nu" in doc, "config requires nu")
-        nu = tuple(int(v) for v in doc["nu"])
+        nu = _convert("nu", _int_tuple, doc["nu"])
         _require(len(nu) == symbol.dimension, "nu dimension mismatch")
-        grid = tuple(int(g) for g in doc.get("grid", (4096,) * symbol.dimension))
+        grid = _convert("grid", _int_tuple, doc.get("grid", (4096,) * symbol.dimension))
         _require(len(grid) == symbol.dimension, "grid dimension mismatch")
-        n_min = int(doc.get("n_min", 1))
-        n_max = int(doc.get("n_max", 256))
+        n_min = _convert("n_min", int, doc.get("n_min", 1))
+        n_max = _convert("n_max", int, doc.get("n_max", 256))
         _require(n_min <= n_max, "n_min must be <= n_max")
-        k_window = int(doc.get("k_window", 4))
+        k_window = _convert("k_window", int, doc.get("k_window", 4))
         _require(k_window >= 0, "k_window must be >= 0")
-        e_tol = float(doc.get("e_tol", DEFAULT_E_TOL))
+        e_tol = _convert("e_tol", float, doc.get("e_tol", DEFAULT_E_TOL))
         _require(e_tol > 0, "e_tol must be positive")
         checks = doc.get("checks", [])
         _require(isinstance(checks, list), "checks must be a list")

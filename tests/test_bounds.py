@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from watlab import bounds
+from watlab.accum import csum
 from watlab.bounds import (
+    LOG_FLOOR,
     HypothesisViolation,
     abel_series_check,
     cauchy_mvt_bound_check,
@@ -20,9 +23,9 @@ from watlab.bounds import (
     szego_check,
     theorem_constant,
 )
-from watlab.coeffs import compute_b_table
+from watlab.coeffs import compute_b_table, masked_integrand
 from watlab.iterlog import find_constants
-from watlab.symbols import TrigSymbol, sup_norm, unit_modulus_set
+from watlab.symbols import TrigSymbol, grid_phase, sup_norm, unit_modulus_set
 
 EQUALITY_SYMBOL = TrigSymbol.trig_polynomial(1, {(0,): 0.5, (1,): 0.5})
 
@@ -233,6 +236,84 @@ def test_abel_blaschke(blaschke_half):
 def test_abel_r_rejected(blaschke_half):
     with pytest.raises(HypothesisViolation):
         abel_series_check(blaschke_half, (1,), 0, 0, 1.0, 10, 128)
+
+
+# -- the pair grid walked in row blocks against the whole outer product -------
+
+# |f| = |cos(pi x)|: E at e_tol 0.05 is the arc |x| <= acos(0.95)/pi, a fifth
+# of the circle; the Blaschke product has E = the whole circle.
+PAIR_CASES = [("blaschke", 1e-9), ("arc", 0.05)]
+PAIR_SYMBOLS = {"blaschke": TrigSymbol.blaschke([0.5]), "arc": EQUALITY_SYMBOL}
+
+
+def outer_kernel_modulus(vals, phase, r):
+    e = np.exp(2j * np.pi * phase)
+    return np.abs(np.outer(e, np.conj(e)) - r * np.outer(vals, np.conj(vals)))
+
+
+def outer_masked_u(f, n, k, grid, e_tol):
+    sampling = f.evaluate_on_grid(grid)
+    E = unit_modulus_set(sampling, e_tol)
+    assert 0 < E.measure <= 1
+    return masked_integrand(E, (1,), n, k), sampling.size
+
+
+@pytest.fixture(params=[1, 700, 5000], ids=lambda c: f"block{c}")
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(bounds, "PAIR_BLOCK_CELLS", request.param)
+
+
+@pytest.mark.parametrize("name, e_tol", PAIR_CASES)
+def test_log_integral_blocks_match_outer_product(small_blocks, name, e_tol):
+    f = PAIR_SYMBOLS[name]
+    sampling = f.evaluate_on_grid(256)
+    vals = sampling.samples.ravel()
+    mods = outer_kernel_modulus(vals, grid_phase(sampling.resolution, (1,)).ravel(), 0.5)
+    abslog = np.abs(np.log(np.clip(mods, LOG_FLOOR, None)))
+    mask = np.abs(np.abs(vals) - 1.0) <= e_tol
+    assert name == "blaschke" or not mask.all()
+    rep = log_integral_bound_check(f, (1,), 0.5, 256, e_tol=e_tol)
+    assert rep.lhs == csum(abslog.ravel()) / 256**2
+    assert rep.rhs == math.log(4.0 / (0.5 * abs(f.coefficient_at_zero()) ** 2))
+    assert rep.details == {
+        "excluded_nodes": int(np.count_nonzero(mods < LOG_FLOOR)),
+        "lhs_restricted_to_E": csum(abslog[np.outer(mask, mask)]) / 256**2,
+        "floor": LOG_FLOOR,
+    }
+
+
+@pytest.mark.parametrize("name, e_tol", PAIR_CASES)
+def test_identity_blocks_match_outer_product(small_blocks, name, e_tol):
+    f = PAIR_SYMBOLS[name]
+    for n, k in ((1, 0), (3, -1), (-2, 2)):
+        (_, _, u), size = outer_masked_u(f, n, k, 256, e_tol)
+        integral = csum(np.outer(u, np.conj(u)).ravel()) / size**2
+        rep = identity_check(f, (1,), n, k, 256, e_tol=e_tol)
+        assert rep.lhs == abs(compute_b_table(
+            f, unit_modulus_set(f.evaluate_on_grid(256), e_tol), (1,), (n, n), [k]
+        ).entry(n, k)) ** 2
+        assert rep.rhs == float(integral.real)
+        assert rep.details == {
+            "two_sided": True,
+            "abs_difference": abs(rep.lhs - rep.rhs),
+            "double_integral_imag": float(integral.imag),
+        }
+
+
+@pytest.mark.parametrize("name, e_tol", PAIR_CASES)
+def test_abel_blocks_match_outer_product(small_blocks, monkeypatch, name, e_tol):
+    f = PAIR_SYMBOLS[name]
+    (vals, phase, u), size = outer_masked_u(f, 1, 0, 256, e_tol)
+    weight = np.log(1.0 / np.clip(outer_kernel_modulus(vals, phase, 0.9), LOG_FLOOR, None))
+    rhs = 2.0 * float(csum((np.outer(u, np.conj(u)) * weight).ravel()).real) / size**2
+    rep = abel_series_check(f, (1,), 1, 0, 0.9, 20, 256, e_tol=e_tol)
+    monkeypatch.undo()  # the series side does not depend on the block size
+    whole = abel_series_check(f, (1,), 1, 0, 0.9, 20, 256, e_tol=e_tol)
+    assert rep.lhs == whole.lhs
+    assert rep.rhs == rhs
+    assert rep.details["abs_difference"] == abs(rep.lhs - rhs)
+    assert rep.details == whole.details
+    assert rep.passed == whole.passed
 
 
 # -- elementary lemmas ---------------------------------------------------------

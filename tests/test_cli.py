@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from watlab import cli
@@ -130,6 +131,14 @@ def test_usage_errors(tmp_path, capsys):
     unknown = write_config(tmp_path, small_preset(bogus_field=1), "unknown.json")
     assert run(["check", "--config", unknown]) == cli.EXIT_USAGE
     capsys.readouterr()
+    # malformed values of the run fields
+    for field, value in (
+        ("k_window", [0, 1]), ("n_max", "abc"), ("e_tol", "x"), ("nu", ["a"]),
+        ("grid", 512), ("n_min", None),
+    ):
+        cfg = write_config(tmp_path, small_preset(**{field: value}), "malformed.json")
+        assert run(["check", "--config", cfg]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: malformed {field}: ")
     # grids a check cannot take: above the double-grid cap, or not a power of two
     def check(*args):
         return run(["check", *args, "--out", str(tmp_path / "out")])
@@ -146,13 +155,49 @@ def test_usage_errors(tmp_path, capsys):
     # a table grid below the resolution the n range needs
     assert check("--preset", "blaschke-half", "--grid", "64") == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
-    # unknown check ids are refused before the table is built
+    # unknown check ids, and scalars for list-valued check parameters, are
+    # refused before the table is built
     fresh = tmp_path / "fresh"
-    bogus = write_config(tmp_path, small_preset(checks=[{"id": "bogus"}]), "bogus.json")
-    for source in (["--preset", "blaschke-half", "--checks", "weighted_seris"], ["--config", bogus]):
+    sources = [["--preset", "blaschke-half", "--checks", "weighted_seris"]]
+    for i, entry in enumerate((
+        {"id": "bogus"},
+        {"id": "weighted_series", "N": 0},
+        {"id": "mean_ii", "p": [10], "k": 0},
+        {"id": "identity", "n": [1], "k": "window1"},
+        {"id": "log_integral", "r": 0.5},
+    )):
+        sources.append(["--config", write_config(tmp_path, small_preset(checks=[entry]), f"c{i}.json")])
+    for source in sources:
         assert run(["check", *source, "--out", str(fresh)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (fresh / "table.csv").exists()
-    capsys.readouterr()
+
+
+def test_symbol_evaluated_once_per_run(tmp_path, monkeypatch):
+    """The sup-norm gate's sampling of the run grid feeds the table build."""
+    from watlab.symbols import TrigSymbol
+
+    calls = []
+    evaluate = TrigSymbol.evaluate_on_grid
+
+    def counting(self, resolution):
+        calls.append(resolution)
+        return evaluate(self, resolution)
+
+    monkeypatch.setattr(TrigSymbol, "evaluate_on_grid", counting)
+    cfg = write_config(tmp_path, small_preset(checks=[{"id": "weighted_series"}]))
+    for sub in ("table", "check", "explore"):
+        calls.clear()
+        assert run([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == cli.EXIT_OK
+        assert calls == [(512,)]
+    # both steps stay callable with the config alone
+    run_cfg = cli._load_run_config(cli.build_parser().parse_args(["table", "--config", cfg]))
+    calls.clear()
+    cli.verify_hypotheses(run_cfg)
+    alone = cli.build_table(run_cfg)
+    assert len(calls) == 2
+    shared = cli.build_table(run_cfg, cli.verify_hypotheses(run_cfg))
+    assert np.array_equal(alone.values, shared.values)
 
 
 # The parameters a bare {"id": X} has always expanded to, on a table with
