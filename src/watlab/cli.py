@@ -34,7 +34,7 @@ from .bounds import (
 from .coeffs import TableError, compute_b_table
 from .config import ConfigError, RunConfig, load_config
 from .explorer import decay_fit, tail_series
-from .iterlog import find_constants, positivity_threshold
+from .iterlog import DomainError, find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
 from .symbols import GridSampling, SymbolError, sup_norm, unit_modulus_set
 
@@ -175,7 +175,7 @@ def _load_run_config(args) -> RunConfig:
     if args.k_window is not None:
         doc["k_window"] = args.k_window
     if args.grid is not None:
-        doc["grid"] = [int(g) for g in args.grid.split(",")]
+        doc["grid"] = args.grid.split(",")
     if args.tol_e is not None:
         doc["e_tol"] = args.tol_e
     cfg = RunConfig.from_dict(doc)
@@ -189,7 +189,20 @@ def _load_run_config(args) -> RunConfig:
             value = check.get(name, [])
             if not (isinstance(value, list) or (name == "k" and value == "window")):
                 raise ConfigError(f"check {check['id']!r}: {name} must be a list, got {value!r}")
+        if check["id"] in ("mean_iii", "mean_iv"):
+            _check_q(check.get("q", 1))
     return cfg
+
+
+def _check_q(q) -> None:
+    """Refuse a q that has no iterated-log constants: not an integer, below
+    1, or with log_{q+1} positive only beyond the float range."""
+    if not isinstance(q, int) or q < 1:
+        raise ConfigError(f"q must be an integer >= 1, got {q!r}")
+    try:
+        positivity_threshold(q + 1)
+    except DomainError as exc:
+        raise ConfigError(f"q={q}: {exc}") from exc
 
 
 def _add_common(sub) -> None:
@@ -217,6 +230,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_constants(args) -> int:
+    _check_q(args.q)
     params = find_constants(args.q)
     print(
         f"q={params.q}: alpha={params.alpha!r} gamma={params.gamma!r} "

@@ -4,6 +4,7 @@ stay below alpha_q on [gamma_q, infinity)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,13 @@ def positivity_threshold(j: int) -> float:
     if j < 1:
         raise DomainError("iteration depth must be >= 1")
     t = 1.0
-    for _ in range(j - 1):
-        t = math.exp(t)
+    try:
+        for _ in range(j - 1):
+            t = math.exp(t)
+    except OverflowError:
+        raise DomainError(
+            f"log_{j} is positive only beyond the float range"
+        ) from None
     return t
 
 
@@ -85,13 +91,15 @@ def _verify_monotone_decrease(q: int, gamma: float, x_hi: float = 1e8) -> None:
             raise DomainError(f"a(x; L_{q}) failed to decrease at sampled points")
 
 
+@functools.cache
 def find_constants(q: int) -> IteratedLogParams:
     """Constants with log_{q+1} x > 0 and 0 < a(x; L_q) < alpha_q on
     [gamma_q, infinity).
 
     q = 1 returns the classical pair (1/log 3, 3); for q >= 2, gamma_q is the
     smallest integer above the positivity threshold of log_{q+1} with
-    a(gamma_q; L_q) < 1, and alpha_q = a(gamma_q; L_q).
+    a(gamma_q; L_q) < 1, and alpha_q = a(gamma_q; L_q).  The result depends
+    on q alone and is cached.
     """
     if q < 1:
         raise DomainError("q must be >= 1")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -155,8 +158,15 @@ def test_usage_errors(tmp_path, capsys):
     # a table grid below the resolution the n range needs
     assert check("--preset", "blaschke-half", "--grid", "64") == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
-    # unknown check ids, and scalars for list-valued check parameters, are
-    # refused before the table is built
+    assert check("--preset", "blaschke-half", "--grid", "abc") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: malformed grid: ")
+    # a q with no iterated-log constants: below 1, or log_{q+1} positive only
+    # beyond the float range
+    for q in ("0", "-1", "4"):
+        assert run(["constants", q]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+    # unknown check ids, scalars for list-valued check parameters, and a bad
+    # q are refused before the table is built
     fresh = tmp_path / "fresh"
     sources = [["--preset", "blaschke-half", "--checks", "weighted_seris"]]
     for i, entry in enumerate((
@@ -165,12 +175,48 @@ def test_usage_errors(tmp_path, capsys):
         {"id": "mean_ii", "p": [10], "k": 0},
         {"id": "identity", "n": [1], "k": "window1"},
         {"id": "log_integral", "r": 0.5},
+        {"id": "mean_iii", "q": 0},
+        {"id": "mean_iv", "q": 4},
+        {"id": "mean_iv", "q": 1.5},
     )):
         sources.append(["--config", write_config(tmp_path, small_preset(checks=[entry]), f"c{i}.json")])
     for source in sources:
         assert run(["check", *source, "--out", str(fresh)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not (fresh / "table.csv").exists()
+
+
+# Run in a fresh interpreter: this one has imported scipy.integrate already.
+_IMPORT_PATH_SCRIPT = """
+import sys
+import watlab, watlab.cli
+assert "scipy.integrate" not in sys.modules, "loaded by import watlab"
+cfg, out = sys.argv[1:]
+args = ["check", "--config", cfg, "--out", out]
+assert watlab.cli.main(args + ["--checks", "weighted_series,mean_ii"]) == 0
+assert "scipy.integrate" not in sys.modules, "loaded by a run without mean_iii"
+assert watlab.cli.main(args + ["--checks", "mean_iii"]) == 0
+assert "scipy.integrate" in sys.modules, "mean_iii ran without quad"
+"""
+
+
+def test_scipy_integrate_loaded_only_by_quadrature_checks(tmp_path):
+    """Only mean_iii (and the cauchy_mvt lemma) integrate numerically;
+    importing watlab and running other checks leave scipy.integrate, which
+    takes about 0.6 s to import, unloaded."""
+    cfg = write_config(tmp_path, small_preset(checks=[
+        {"id": "weighted_series", "N": [0], "k": [0]},
+        {"id": "mean_ii", "p": [10], "k": [0]},
+        {"id": "mean_iii", "q": 1, "p": [10], "k": [0]},
+    ]))
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT, cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_symbol_evaluated_once_per_run(tmp_path, monkeypatch):

@@ -71,3 +71,12 @@ def test_constants_satisfy_invariants(q):
 def test_bad_q_rejected():
     with pytest.raises(DomainError):
         find_constants(0)
+    # log_5 is positive only above exp(exp(exp(e))), beyond the float range
+    with pytest.raises(DomainError):
+        positivity_threshold(5)
+    with pytest.raises(DomainError):
+        find_constants(4)
+
+
+def test_constants_cached():
+    assert find_constants(2) is find_constants(2)
