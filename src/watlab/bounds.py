@@ -308,15 +308,6 @@ def _cap_double_grid(cells: int) -> None:
         raise SymbolError(f"double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} cells, got {cells}")
 
 
-def _flat_grid(f: TrigSymbol, nu: Sequence[int], resolution) -> tuple[np.ndarray, np.ndarray, int]:
-    sampling = f.evaluate_on_grid(resolution)
-    total = sampling.size
-    _cap_double_grid(total)
-    vals = sampling.samples.ravel()
-    phase = grid_phase(sampling.resolution, nu).ravel()
-    return vals, phase, total
-
-
 def _row_blocks(n: int, m: int):
     """Slices of consecutive rows of an n x m pair grid, each about
     PAIR_BLOCK_CELLS cells, in order."""
@@ -353,9 +344,13 @@ def log_integral_bound_check(
     if f0 == 0:
         raise HypothesisViolation("f-hat(0) = 0")
     nu = tuple(int(v) for v in nu)
-    vals, phase, total = _flat_grid(f, nu, resolution)
+    sampling = f.evaluate_on_grid(resolution)
+    total = sampling.size
+    _cap_double_grid(total)
+    vals = sampling.samples.ravel()
+    phase = grid_phase(sampling.resolution, nu).ravel()
     # restriction to E x E can only shrink the integral; recorded for reference
-    mask = np.abs(np.abs(vals) - 1.0) <= e_tol
+    mask = unit_modulus_set(sampling, e_tol).mask.ravel()
     full_E = bool(mask.all())  # then E x E is the whole grid, summed once
     whole, on_E = StreamingSum(), StreamingSum()
     excluded = 0
@@ -456,7 +451,9 @@ def abel_series_check(
     partial-sum bound log(16 / (r^2 |f-hat(0)|^4)).
 
     ``resolution`` sizes the double grid; the table side is computed on a
-    grid fine enough to resolve all truncated characters.
+    grid fine enough to resolve all truncated characters.  On E, F takes
+    f/|f| in place of f, as the table's integrand does, so the closed form
+    holds on a tolerance-widened E too.
     """
     if not 0 < r < 1:
         raise HypothesisViolation("r must lie in (0, 1)")
@@ -488,12 +485,12 @@ def abel_series_check(
     if table.degenerate:
         rhs = 0.0
     else:
-        vals, phase, u = masked_integrand(E, nu, N, k)
+        unit, phase, u = masked_integrand(E, nu, N, k)
         _cap_double_grid(u.size)
         u_conj = np.conj(u)
         acc = StreamingSum()
         for rows in _row_blocks(u.size, u.size):
-            weight = _kernel_modulus(vals, phase, r, rows)
+            weight = _kernel_modulus(unit, phase, r, rows)
             np.clip(weight, LOG_FLOOR, None, out=weight)
             np.divide(1.0, weight, out=weight)
             np.log(weight, out=weight)

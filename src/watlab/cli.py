@@ -83,37 +83,38 @@ def build_table(cfg: RunConfig, sampling: GridSampling | None = None):
     return table
 
 
-# Check id -> (its list-valued parameters with their defaults, the verifier of
-# one point of their product).  A "k" of "window" stands for the table's k
-# window.  A verifier takes (cfg, table, C, check entry, *point) and looks the
-# check function up at call time, so wrappers set on this module take effect.
+# Check id -> (its list-valued parameters with their defaults, the names of
+# its single-valued parameters, the verifier of one point of the list-valued
+# parameters' product).  A "k" of "window" stands for the table's k window.  A
+# verifier takes (cfg, table, C, check entry, *point) and looks the check
+# function up at call time, so wrappers set on this module take effect.
 CHECKS = {
     "weighted_series": (
-        {"N": [0], "k": "window"},
+        {"N": [0], "k": "window"}, (),
         lambda cfg, t, C, c, N, k: check_weighted_series(t, N, k, C)),
     "mean_ii": (
-        {"p": [10], "k": "window"},
+        {"p": [10], "k": "window"}, ("M",),
         lambda cfg, t, C, c, p, k: check_mean_bound_ii(t, c.get("M", 1), p, k, C)),
     "mean_iii": (
-        {"p": [10], "k": [0]},
+        {"p": [10], "k": [0]}, ("q", "M"),
         lambda cfg, t, C, c, p, k: check_mean_bound_iii(
             t, *astuple(find_constants(c.get("q", 1))), c.get("M", 1), p, k, C)),
     "mean_iv": (
-        {"p": [10], "k": "window"},
+        {"p": [10], "k": "window"}, ("q", "M"),
         lambda cfg, t, C, c, p, k: check_mean_bound_iv(t, c.get("q", 1), c.get("M", 1), p, k, C)),
     "szego": (
-        {},
+        {}, ("grid",),
         lambda cfg, t, C, c: szego_check(cfg.symbol, cfg.halfspace, c.get("grid", cfg.grid))),
     "identity": (
-        {"n": [1], "k": [0]},
+        {"n": [1], "k": [0]}, ("grid",),
         lambda cfg, t, C, c, n, k: identity_check(
             cfg.symbol, cfg.nu, n, k, c.get("grid", 256), e_tol=cfg.e_tol)),
     "log_integral": (
-        {"r": [0.5]},
+        {"r": [0.5]}, ("grid",),
         lambda cfg, t, C, c, r: log_integral_bound_check(
             cfg.symbol, cfg.nu, r, c.get("grid", 128), e_tol=cfg.e_tol)),
     "abel": (
-        {},
+        {}, ("N", "k", "r", "n_trunc", "grid"),
         lambda cfg, t, C, c: abel_series_check(
             cfg.symbol, cfg.nu, c.get("N", 0), c.get("k", 0), c.get("r", 0.9),
             c.get("n_trunc", 200), c.get("grid", 512), e_tol=cfg.e_tol)),
@@ -126,7 +127,7 @@ def run_checks(cfg: RunConfig, table, only: set[str] | None = None) -> list[Boun
     for check in cfg.checks:
         if only is not None and check["id"] not in only:
             continue
-        lists, verify = CHECKS[check["id"]]
+        lists, _, verify = CHECKS[check["id"]]
         axes = {name: check.get(name, default) for name, default in lists.items()}
         if axes.get("k") == "window":
             axes["k"] = table.k_values
@@ -185,7 +186,14 @@ def _load_run_config(args) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown check ids {unknown}; available: {', '.join(CHECKS)}")
     for check in cfg.checks:
-        for name in CHECKS[check["id"]][0]:
+        lists, singles, _ = CHECKS[check["id"]]
+        extra = sorted(set(check) - {"id", *lists, *singles})
+        if extra:
+            raise ConfigError(
+                f"check {check['id']!r}: unknown parameters {extra}; "
+                f"it takes {', '.join([*lists, *singles])}"
+            )
+        for name in lists:
             value = check.get(name, [])
             if not (isinstance(value, list) or (name == "k" and value == "window")):
                 raise ConfigError(f"check {check['id']!r}: {name} must be a list, got {value!r}")

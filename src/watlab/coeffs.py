@@ -1,14 +1,19 @@
 """Diagonal coefficient tables and their brute-force oracle.
 
-The entry at (n, k) is the grid quadrature of 1_E . f^n . e^{-2 pi i (n-k) nu . x}.
-On E, where |f| = 1, put theta = arg f - 2 pi nu . x; then
+The paper's b_{n,n-k} integrates f^n e^{-2 pi i (n-k) nu . x} over
+E = {|f| = 1}.  On a grid E is the mask {||f| - 1| <= e_tol}
+(symbols.unit_modulus_set), and the integrand there takes f/|f| in place of
+f.  (f/|f|)^n equals f^n on the true E and differs from it by about
+|n| max_E ||f| - 1| per cell.  _masked_geometry alone turns a sampling and
+its mask into per-cell data on E.  With theta = arg f - 2 pi nu . x,
 b_{n,n-k} = G^{-1} sum_{x in E} e^{i n theta(x)} e^{2 pi i k nu . x}, so each
 diagonal k, over all n (negative n included) and in any dimension, is one
 type-1 nonuniform FFT in the scalar phase theta.  It is computed by Gaussian
 gridding (Greengard & Lee, SIAM Rev. 46, 2004; Dutt & Rokhlin, SIAM J. Sci.
 Comput. 14, 1993): spread onto an oversampled periodic grid, one FFT per
 diagonal, then deconvolve.  np.bincount and np.fft reduce in a fixed order,
-so tables are bit-identical across runs.
+so tables are bit-identical across runs.  brute_force_b sums the same
+integrand cell by cell.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ from .symbols import (
 DEGENERATE_MEASURE_FACTOR = 8.0
 
 ENTRY_BOUND_SLACK = 1e-12
+
+# Table entries, rows x diagonals: 256 MiB of complex values, and the NUFFT
+# grids take twice that.  Larger tables are refused before they are allocated.
+MAX_TABLE_ENTRIES = 2**24
 
 # Gaussian-gridding NUFFT: grid oversampling, kernel grid points on each side
 # of a source, and sources spread per pass.  With 14 points the tables stay
@@ -125,20 +134,21 @@ class DiagonalTable:
 
 
 def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
-    res = E.sampling.resolution
-    flat_mask = E.mask.ravel()
-    idx = np.flatnonzero(flat_mask)
+    """Per-cell data on E, in grid order: the unit samples f/|f|, nu . x, and
+    the phase theta = arg f - 2 pi nu . x that the table engine transforms."""
+    idx = np.flatnonzero(E.mask)
     samples = E.sampling.samples.ravel()[idx]
-    phase = grid_phase(res, nu).ravel()[idx]
-    return samples, phase
+    phase = grid_phase(E.sampling.resolution, nu).ravel()[idx]
+    theta = np.angle(samples) - 2 * np.pi * phase
+    return samples / np.abs(samples), phase, theta
 
 
 def masked_integrand(E: UnitModulusSet, nu: Sequence[int], n: int, k: int):
-    """Samples of f and nu . x on E, and the integrand of b_{n,n-k} there:
-    u = f^n e^{-2 pi i (n-k) nu . x}, with f^n = conj(f)^{-n} for n < 0."""
-    samples, phase = _masked_geometry(E, nu)
-    w = samples**n if n >= 0 else np.conj(samples) ** (-n)
-    return samples, phase, w * np.exp(-2j * np.pi * (n - k) * phase)
+    """The unit samples and nu . x on E, and the integrand of b_{n,n-k} there,
+    the table engine's source term u = e^{i n theta} e^{2 pi i k nu . x}
+    = (f/|f|)^n e^{-2 pi i (n-k) nu . x}."""
+    unit, phase, theta = _masked_geometry(E, nu)
+    return unit, phase, np.exp(1j * n * theta) * np.exp(2j * np.pi * k * phase)
 
 
 def _nufft_type1(
@@ -186,6 +196,9 @@ def compute_b_table(
     if n_min > n_max:
         raise TableError("empty n range")
     k_values = k_values_for_window(k_window)
+    rows = n_max - n_min + 1
+    if rows * len(k_values) > MAX_TABLE_ENTRIES:
+        raise TableError(f"{rows} x {len(k_values)} table entries exceed {MAX_TABLE_ENTRIES}")
     res = E.sampling.resolution
     k_abs = max((abs(k) for k in k_values), default=0)
     need = required_resolution(nu, max(abs(n_min), abs(n_max)), k_abs)
@@ -199,10 +212,9 @@ def compute_b_table(
         degenerate_tol = default_degenerate_tol(res)
     degenerate = E.measure <= degenerate_tol
     if degenerate:
-        values = np.zeros((n_max - n_min + 1, len(k_values)), dtype=np.complex128)
+        values = np.zeros((rows, len(k_values)), dtype=np.complex128)
     else:
-        samples, phase = _masked_geometry(E, nu)
-        theta = np.angle(samples) - 2 * np.pi * phase
+        _, phase, theta = _masked_geometry(E, nu)
         values = _nufft_type1(theta, phase, k_values, n_min, n_max) / E.sampling.size
         peak = float(np.abs(values).max()) if values.size else 0.0
         if peak > E.measure + ENTRY_BOUND_SLACK:
@@ -223,8 +235,8 @@ def brute_force_b(
     resolution: Sequence[int] | int,
     e_tol: float = 1e-9,
 ) -> complex:
-    """Direct quadrature of the defining integral with fresh pointwise
-    exponentiation and a compensated sum: no NUFFT, no phase reduction."""
+    """The table's integrand on E (masked_integrand), evaluated cell by cell
+    on a fresh sampling and summed directly with a compensated sum: no NUFFT."""
     nu = tuple(int(v) for v in nu)
     sampling = f.evaluate_on_grid(resolution)
     if any(

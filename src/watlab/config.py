@@ -112,7 +112,7 @@ class RunConfig:
         k_window = _convert("k_window", int, doc.get("k_window", 4))
         _require(k_window >= 0, "k_window must be >= 0")
         e_tol = _convert("e_tol", float, doc.get("e_tol", DEFAULT_E_TOL))
-        _require(e_tol > 0, "e_tol must be positive")
+        _require(0 < e_tol < 1, "e_tol must lie in (0, 1)")
         checks = doc.get("checks", [])
         _require(isinstance(checks, list), "checks must be a list")
         for c in checks:

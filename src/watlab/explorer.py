@@ -26,7 +26,6 @@ class SeriesProbe:
     weight_id: str
     n_values: np.ndarray
     partial_sums: np.ndarray
-    diffs: np.ndarray
     loglog_slope: float | None
     notes: dict = field(default_factory=dict)
 
@@ -67,7 +66,6 @@ def tail_series(
     for i, (n, t) in enumerate(zip(n_vals, terms)):
         acc.add(fn(int(n)) * float(t))
         partials[i] = acc.value
-    diffs = np.diff(partials, prepend=0.0) if partials.size else np.empty(0)
     slope = None
     pos = partials > 0
     if np.count_nonzero(pos) >= 3:
@@ -79,7 +77,6 @@ def tail_series(
         weight_id=weight_id,
         n_values=n_vals,
         partial_sums=partials,
-        diffs=diffs,
         loglog_slope=slope,
         notes={"first_summed_n": int(n_vals[0]) if n_vals.size else None},
     )

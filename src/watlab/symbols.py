@@ -10,6 +10,7 @@ uniform-node average is spectrally exact for resolved trig polynomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -19,6 +20,9 @@ from .accum import csum
 from .lattice import HalfSpace, as_point
 
 DEFAULT_E_TOL = 1e-9
+# Cells of one grid evaluation: 256 MiB of complex samples.  Larger grids are
+# refused before they are allocated.
+MAX_GRID_CELLS = 2**24
 
 
 class SymbolError(ValueError):
@@ -39,6 +43,8 @@ def _check_resolution(resolution: Sequence[int], dimension: int) -> tuple[int, .
         raise SymbolError(f"resolution has {len(res)} axes, symbol has {dimension}")
     if any(not _is_pow2(g) for g in res):
         raise SymbolError(f"resolutions must be powers of two >= 2, got {res}")
+    if math.prod(res) > MAX_GRID_CELLS:
+        raise SymbolError(f"grid {res} has more than {MAX_GRID_CELLS} cells")
     return res
 
 
@@ -52,9 +58,6 @@ class GridSampling:
     @property
     def size(self) -> int:
         return int(np.prod(self.resolution))
-
-    def axis_coords(self, i: int) -> np.ndarray:
-        return np.arange(self.resolution[i]) / self.resolution[i]
 
 
 @dataclass(frozen=True)
@@ -233,8 +236,9 @@ def sup_norm(sampling: GridSampling) -> float:
 
 
 def unit_modulus_set(sampling: GridSampling, tol: float = DEFAULT_E_TOL) -> UnitModulusSet:
-    if tol <= 0:
-        raise SymbolError("E-detection tolerance must be positive")
+    # below 1, so that f/|f| is defined on E
+    if not 0 < tol < 1:
+        raise SymbolError(f"E-detection tolerance must lie in (0, 1), got {tol}")
     mask = np.abs(np.abs(sampling.samples) - 1.0) <= tol
     measure = float(np.count_nonzero(mask)) / sampling.size
     return UnitModulusSet(sampling=sampling, mask=mask, tol=tol, measure=measure)

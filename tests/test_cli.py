@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import watlab
 from watlab import cli
 from watlab.presets import PRESET_NAMES, preset_config
 
@@ -178,12 +179,57 @@ def test_usage_errors(tmp_path, capsys):
         {"id": "mean_iii", "q": 0},
         {"id": "mean_iv", "q": 4},
         {"id": "mean_iv", "q": 1.5},
+        {"id": "mean_iii", "alpha": 3},  # not a parameter of mean_iii
+        {"id": "mean_ii", "P": [10]},  # a typo for p
     )):
         sources.append(["--config", write_config(tmp_path, small_preset(checks=[entry]), f"c{i}.json")])
+    # an E tolerance of 1 or more lets zeros of f into E, where f/|f| is undefined
+    sources.append(["--config", write_config(tmp_path, small_preset(e_tol=1.0), "etol.json")])
     for source in sources:
         assert run(["check", *source, "--out", str(fresh)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not (fresh / "table.csv").exists()
+
+
+@pytest.mark.parametrize("owner, cap, args", [
+    ("symbols", "MAX_GRID_CELLS", ["check", "--preset", "blaschke-half"]),
+    ("coeffs", "MAX_TABLE_ENTRIES", ["table", "--preset", "blaschke-half"]),
+])
+def test_size_caps_exit_usage(tmp_path, capsys, monkeypatch, owner, cap, args):
+    """A grid or a table above its cap is refused with exit 64 before it is
+    allocated (blaschke-half: grid 4096, 256 rows x 9 diagonals)."""
+    monkeypatch.setattr(getattr(watlab, owner), cap, 1024)
+    assert run([*args, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out" / "table.csv").exists()
+
+
+# 0.5 + 0.5 e^{2 pi i x} at e_tol 0.05: its grid E is an arc, a fifth of the
+# circle, on which |f| < 1 except at x = 0, so (f/|f|)^n differs from f^n.
+ARC_CONFIG = {
+    "schema": 1,
+    "symbol": preset_config("szego-equality")["symbol"],
+    "halfspace": {"axis_order": [0], "axis_sign": [-1]},
+    "nu": [1],
+    "grid": [1024],
+    "n_min": 1,
+    "n_max": 64,
+    "k_window": 2,
+    "e_tol": 0.05,
+    "checks": [
+        {"id": "identity", "n": [1, 2, 5], "k": [-1, 0, 1], "grid": 1024},
+        {"id": "abel", "grid": 2048},
+        {"id": "log_integral", "r": [0.5, 0.9], "grid": 2048},
+    ],
+}
+
+
+def test_partial_e_checks_pass(tmp_path, capsys):
+    """The table, identity and abel integrate the same function on a
+    tolerance-widened E, so their two sides agree there."""
+    cfg = write_config(tmp_path, ARC_CONFIG)
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "12/12 checks passed"
 
 
 # Run in a fresh interpreter: this one has imported scipy.integrate already.

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from watlab import coeffs
 from watlab.coeffs import (
@@ -102,6 +105,35 @@ def test_kernel_half_width_sets_accuracy(monkeypatch, two_zero_oracle):
     # 6 points per side fails the oracle tolerance of acceptance criterion 7.
     monkeypatch.setattr(coeffs, "NUFFT_HALF_WIDTH", 6)
     assert two_zero_error(two_zero_oracle) > 1e-9
+
+
+# a + (1-a) e^{2 pi i x} has |f| = 1 only at x = 0, so at a loose e_tol its
+# grid E is an arc with 0 < |E| < 1, where (f/|f|)^n and f^n differ.
+@given(
+    a=st.floats(0.2, 0.8),
+    e_tol=st.floats(math.log(1e-3), math.log(0.3)).map(math.exp),
+    nu=st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_partial_e_table_matches_oracle(a, e_tol, nu):
+    f = TrigSymbol.trig_polynomial(1, {(0,): a, (1,): 1 - a})
+    tab = make_table(f, (nu,), (-8, 8), 2, 512, e_tol)
+    assume(not tab.degenerate)
+    assert 0 < tab.e_measure < 1
+    assert np.abs(tab.values).max() <= tab.e_measure + coeffs.ENTRY_BOUND_SLACK
+    direct = np.array([
+        [brute_force_b(f, (nu,), n, k, 512, e_tol) for k in tab.k_values]
+        for n in range(-8, 9)
+    ])
+    assert np.abs(tab.values - direct).max() <= 1e-12
+    assert np.array_equal(tab.values, make_table(f, (nu,), (-8, 8), 2, 512, e_tol).values)
+
+
+def test_table_entry_cap(monkeypatch, blaschke_half):
+    monkeypatch.setattr(coeffs, "MAX_TABLE_ENTRIES", 40)
+    make_table(blaschke_half, (1,), (1, 8), 2, 256)  # 8 rows x 5 diagonals
+    with pytest.raises(TableError, match="9 x 5 table entries exceed 40"):
+        make_table(blaschke_half, (1,), (1, 9), 2, 256)
 
 
 def test_brute_force_trivials():

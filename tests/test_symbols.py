@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from watlab import symbols
 from watlab.lattice import HalfSpace
 from watlab.symbols import (
     ResolutionError,
@@ -45,6 +46,16 @@ def test_nyquist_rejected():
 def test_non_pow2_rejected():
     with pytest.raises(SymbolError):
         TrigSymbol.constant(1.0).evaluate_on_grid(12)
+
+
+def test_grid_cell_cap(monkeypatch):
+    monkeypatch.setattr(symbols, "MAX_GRID_CELLS", 64)
+    f = TrigSymbol.constant(1.0, 2)
+    assert f.evaluate_on_grid((8, 8)).size == 64
+    with pytest.raises(SymbolError, match="more than 64 cells"):
+        f.evaluate_on_grid((16, 8))
+    with pytest.raises(SymbolError, match="more than 64 cells"):
+        f.evaluate_on_grid((2**40, 2**40))  # refused without overflow
 
 
 def test_fourier_coefficient_exponential():
@@ -117,6 +128,9 @@ def test_unit_modulus_measure_monotone_in_tol():
     s = TrigSymbol.trig_polynomial(1, {(0,): 0.5, (1,): 0.5}).evaluate_on_grid(256)
     measures = [unit_modulus_set(s, tol).measure for tol in (1e-9, 1e-3, 1e-1, 0.5)]
     assert measures == sorted(measures)
+    for tol in (0.0, 1.0):  # at 1, zeros of f would enter E
+        with pytest.raises(SymbolError, match="tolerance"):
+            unit_modulus_set(s, tol)
 
 
 small_spectra = st.dictionaries(
