@@ -3,7 +3,7 @@ d-torus, with verified decay bounds and exploratory decay probes."""
 
 __version__ = "0.1.0"
 
-from .coeffs import DiagonalTable, MatrixSlab, brute_force_b, compute_b_table, compute_c_table
+from .coeffs import DiagonalTable, brute_force_b, compute_b_table
 from .iterlog import IteratedLogParams, a_of_lq, big_l, find_constants, log_iter
 from .lattice import HalfSpace, product_halfspace
 from .symbols import (
@@ -20,14 +20,12 @@ __all__ = [
     "GridSampling",
     "HalfSpace",
     "IteratedLogParams",
-    "MatrixSlab",
     "TrigSymbol",
     "UnitModulusSet",
     "a_of_lq",
     "big_l",
     "brute_force_b",
     "compute_b_table",
-    "compute_c_table",
     "find_constants",
     "fourier_coefficient",
     "log_iter",

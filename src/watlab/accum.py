@@ -1,9 +1,9 @@
 """Deterministic, error-compensated reductions for grid quadratures.
 
-The oracle, the c tables and the check quadratures go through these
-helpers so that results are bit-identical across runs and insensitive to
-the usual accumulation drift near inequality thresholds.  Arrays are
-reduced in a fixed order: contiguous blocks are summed with numpy, then the
+The oracle and the check quadratures go through these helpers so that
+results are bit-identical across runs and insensitive to the usual
+accumulation drift near inequality thresholds.  Arrays are reduced in a
+fixed order: contiguous blocks are summed with numpy, then the
 block partials are combined exactly with math.fsum.  ``StreamingSum`` gives
 the same value for an array that arrives in pieces, without holding it.
 """

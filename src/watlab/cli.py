@@ -169,18 +169,20 @@ def _load_run_config(args) -> RunConfig:
         doc = preset_config(args.preset)
     else:
         raise ConfigError("one of --config or --preset is required")
-    if args.n_max is not None:
-        doc["n_max"] = args.n_max
-    if args.n_min is not None:
-        doc["n_min"] = args.n_min
-    if args.k_window is not None:
-        doc["k_window"] = args.k_window
-    if args.grid is not None:
-        doc["grid"] = args.grid.split(",")
-    if args.tol_e is not None:
-        doc["e_tol"] = args.tol_e
+    # a subcommand has only the flags it reads
+    for flag, field in (
+        ("n_max", "n_max"), ("n_min", "n_min"), ("k_window", "k_window"),
+        ("grid", "grid"), ("tol_e", "e_tol"),
+    ):
+        value = getattr(args, flag, None)
+        if value is not None:
+            doc[field] = value.split(",") if flag == "grid" else value
     cfg = RunConfig.from_dict(doc)
-    asked = [c["id"] for c in cfg.checks] + (args.checks.split(",") if args.checks else [])
+    k = getattr(args, "k", 0)
+    if abs(k) > cfg.k_window:
+        raise ConfigError(f"--k {k} lies outside the k window -{cfg.k_window}..{cfg.k_window}")
+    only = getattr(args, "checks", None)
+    asked = [c["id"] for c in cfg.checks] + (only.split(",") if only else [])
     # a tuple, not the dict: a malformed id may be unhashable
     unknown = [cid for cid in asked if cid not in tuple(CHECKS)]
     if unknown:
@@ -213,25 +215,26 @@ def _check_q(q) -> None:
         raise ConfigError(f"q={q}: {exc}") from exc
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="path to a JSON run config")
-    sub.add_argument("--preset", help=f"built-in preset ({', '.join(PRESET_NAMES)})")
-    sub.add_argument("--out", default="watlab-out", help="output directory")
-    sub.add_argument("--n-max", type=int, default=None)
-    sub.add_argument("--n-min", type=int, default=None)
-    sub.add_argument("--k-window", type=int, default=None)
-    sub.add_argument("--grid", default=None, help="comma-separated per-axis resolution")
-    sub.add_argument("--tol-e", type=float, default=None, help="unit-modulus tolerance")
-    sub.add_argument("--checks", default=None, help="comma-separated check ids to run")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="watlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand")
     for name in ("table", "check", "explore", "szego"):
         sub = subs.add_parser(name)
-        _add_common(sub)
+        sub.add_argument("--config", help="path to a JSON run config")
+        sub.add_argument("--preset", help=f"built-in preset ({', '.join(PRESET_NAMES)})")
+        sub.add_argument("--grid", default=None, help="comma-separated per-axis resolution")
+        if name == "szego":
+            continue
+        sub.add_argument("--out", default="watlab-out", help="output directory")
+        sub.add_argument("--n-max", type=int, default=None)
+        sub.add_argument("--n-min", type=int, default=None)
+        sub.add_argument("--k-window", type=int, default=None)
+        sub.add_argument("--tol-e", type=float, default=None, help="unit-modulus tolerance")
+        if name == "check":
+            sub.add_argument("--checks", default=None, help="comma-separated check ids to run")
+        if name == "explore":
+            sub.add_argument("--k", type=int, default=0, help="diagonal to probe, in the k window")
     consts = subs.add_parser("constants")
     consts.add_argument("q", type=int)
     return parser
@@ -288,25 +291,27 @@ def _cmd_check(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _write_dat(path: Path, xs, ys) -> None:
+    with open(path, "w") as fh:
+        for x, y in zip(xs, ys):
+            fh.write(f"{x} {y!r}\n")
+
+
 def _cmd_explore(args) -> int:
     cfg, out, table = _build(args, "plots")
-    plots = out / "plots"
     summary = {}
     outputs = ["table.csv", "summary.json"]
-    for weight, q, fname in (("1/n", None, "tail_inv_n"), ("Lq/n", 1, "tail_l1_over_n")):
-        probe = tail_series(table, 0, weight=weight, q=q)
-        path = plots / f"{fname}.dat"
-        with open(path, "w") as fh:
-            for n, s in zip(probe.n_values, probe.partial_sums):
-                fh.write(f"{n} {s!r}\n")
+    for weight, q, fname in (
+        ("1/n", None, "tail_inv_n"), ("Lq/n", 1, "tail_l1_over_n"), ("Lq/n", 2, "tail_l2_over_n"),
+    ):
+        probe = tail_series(table, args.k, weight=weight, q=q)
+        _write_dat(out / f"plots/{fname}.dat", probe.n_values, probe.partial_sums)
         outputs.append(f"plots/{fname}.dat")
         summary[fname] = probe.to_summary()
     try:
-        fit = decay_fit(table, 0, M=max(1, cfg.n_min))
+        fit = decay_fit(table, args.k, M=max(1, cfg.n_min))
         summary["decay_fit"] = fit
-        with open(plots / "mean_decay.dat", "w") as fh:
-            for p, m in zip(fit["p_values"], fit["means"]):
-                fh.write(f"{p} {m!r}\n")
+        _write_dat(out / "plots/mean_decay.dat", fit["p_values"], fit["means"])
         outputs.append("plots/mean_decay.dat")
     except ValueError as exc:
         summary["decay_fit"] = {"flag": str(exc)}

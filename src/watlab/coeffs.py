@@ -18,12 +18,12 @@ integrand cell by cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+# perfbench/tracing.py wraps coeffs.csum_rows by name; nothing here calls it.
 from .accum import csum, csum_rows
 from .symbols import (
     ResolutionError,
@@ -74,6 +74,16 @@ def k_values_for_window(k_window) -> tuple[int, ...]:
 def required_resolution(nu: Sequence[int], n_abs_max: int, k_abs_max: int) -> tuple[int, ...]:
     """Per-axis resolution needed for spectral exactness of the characters."""
     return tuple(2 * abs(int(v)) * (n_abs_max + k_abs_max) + 2 for v in nu)
+
+
+def _too_coarse(res: tuple[int, ...], need: tuple[int, ...], what: str) -> ResolutionError:
+    """The error for a grid below ``need``, naming the smallest grid of
+    power-of-two axes (the only kind a sampling takes) that is not."""
+    fits = ",".join(str(1 << (r - 1).bit_length()) for r in need)
+    return ResolutionError(
+        f"grid {res} cannot resolve {what}; required per-axis resolution: {need}; "
+        f"smallest usable power-of-two grid: {fits}"
+    )
 
 
 @dataclass
@@ -134,21 +144,22 @@ class DiagonalTable:
 
 
 def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
-    """Per-cell data on E, in grid order: the unit samples f/|f|, nu . x, and
-    the phase theta = arg f - 2 pi nu . x that the table engine transforms."""
+    """Per-cell data on E, in grid order: the samples of f, nu . x, and the
+    phase theta = arg f - 2 pi nu . x that the table engine transforms."""
     idx = np.flatnonzero(E.mask)
     samples = E.sampling.samples.ravel()[idx]
     phase = grid_phase(E.sampling.resolution, nu).ravel()[idx]
     theta = np.angle(samples) - 2 * np.pi * phase
-    return samples / np.abs(samples), phase, theta
+    return samples, phase, theta
 
 
 def masked_integrand(E: UnitModulusSet, nu: Sequence[int], n: int, k: int):
-    """The unit samples and nu . x on E, and the integrand of b_{n,n-k} there,
-    the table engine's source term u = e^{i n theta} e^{2 pi i k nu . x}
+    """The unit samples f/|f| and nu . x on E, and the integrand of b_{n,n-k}
+    there, the table engine's source term u = e^{i n theta} e^{2 pi i k nu . x}
     = (f/|f|)^n e^{-2 pi i (n-k) nu . x}."""
-    unit, phase, theta = _masked_geometry(E, nu)
-    return unit, phase, np.exp(1j * n * theta) * np.exp(2j * np.pi * k * phase)
+    samples, phase, theta = _masked_geometry(E, nu)
+    u = np.exp(1j * n * theta) * np.exp(2j * np.pi * k * phase)
+    return samples / np.abs(samples), phase, u
 
 
 def _nufft_type1(
@@ -203,10 +214,7 @@ def compute_b_table(
     k_abs = max((abs(k) for k in k_values), default=0)
     need = required_resolution(nu, max(abs(n_min), abs(n_max)), k_abs)
     if any(g < r for g, r in zip(res, need)):
-        raise ResolutionError(
-            f"grid {res} cannot resolve characters up to (n-k)nu; "
-            f"required per-axis resolution: {need}"
-        )
+        raise _too_coarse(res, need, "characters up to (n-k)nu")
 
     if degenerate_tol is None:
         degenerate_tol = default_degenerate_tol(res)
@@ -243,76 +251,8 @@ def brute_force_b(
         abs((n - k) * v) >= g / 2 for v, g in zip(nu, sampling.resolution)
     ):
         need = required_resolution(nu, abs(n), abs(k))
-        raise ResolutionError(
-            f"grid {sampling.resolution} cannot resolve character (n-k)nu; "
-            f"required per-axis resolution: {need}"
-        )
+        raise _too_coarse(sampling.resolution, need, "character (n-k)nu")
     E = unit_modulus_set(sampling, e_tol)
     if E.measure == 0.0:
         return 0j
     return csum(masked_integrand(E, nu, n, k)[2]) / sampling.size
-
-
-@dataclass
-class MatrixSlab:
-    """Composition-matrix rows c_{n,beta} on the full circle (d=1)."""
-
-    n_min: int
-    n_max: int
-    beta_values: tuple[int, ...]
-    values: np.ndarray
-    resolution: int
-
-    def entry(self, n: int, beta: int) -> complex:
-        return complex(
-            self.values[n - self.n_min, self.beta_values.index(beta)]
-        )
-
-    def row_power(self, n: int) -> float:
-        """Sum of |c_{n,beta}|^2 over the stored betas (at most 1)."""
-        row = self.values[n - self.n_min]
-        return float(math.fsum((np.abs(row) ** 2).tolist()))
-
-
-def compute_c_table(
-    phi: TrigSymbol,
-    n_range: tuple[int, int],
-    beta_range: tuple[int, int],
-    resolution: int,
-) -> MatrixSlab:
-    if phi.dimension != 1:
-        raise TableError("c tables are defined on the circle (d=1)")
-    n_min, n_max = int(n_range[0]), int(n_range[1])
-    if n_min < 0:
-        raise TableError("c table rows require n >= 0")
-    b_min, b_max = int(beta_range[0]), int(beta_range[1])
-    betas = tuple(range(b_min, b_max + 1))
-    sampling = phi.evaluate_on_grid(resolution)
-    g = sampling.resolution[0]
-    if max(abs(b_min), abs(b_max)) >= g / 2:
-        raise ResolutionError(f"beta range {beta_range} beyond Nyquist for grid {g}")
-    x = np.arange(g) / g
-    chars = np.exp(-2j * np.pi * np.outer(np.asarray(betas), x))
-    prod = np.empty_like(chars)
-    values = np.zeros((n_max - n_min + 1, len(betas)), dtype=np.complex128)
-    w = np.ones(g, dtype=np.complex128)
-    samples = sampling.samples
-
-    def emit(n: int) -> None:
-        np.multiply(chars, w, out=prod)
-        row = csum_rows(prod) / g
-        values[n - n_min, :] = row
-
-    if n_min == 0:
-        emit(0)
-    for n in range(1, n_max + 1):
-        w = w * samples
-        if n >= n_min:
-            emit(n)
-    slab = MatrixSlab(
-        n_min=n_min, n_max=n_max, beta_values=betas, values=values, resolution=g
-    )
-    for n in range(n_min, n_max + 1):
-        if slab.row_power(n) > 1.0 + 1e-9:
-            raise TableError(f"row Parseval bound violated at n={n}")
-    return slab

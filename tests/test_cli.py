@@ -77,8 +77,44 @@ def test_explore_subcommand(tmp_path):
     code = run(["explore", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert "tail_inv_n" in summary
+    assert "tail_inv_n" in summary and "tail_l2_over_n" in summary
     assert (tmp_path / "out" / "plots" / "tail_inv_n.dat").exists()
+
+
+def test_explore_off_diagonal(tmp_path, capsys):
+    """--k picks the diagonal the probes read; it must lie in the k window."""
+    out = tmp_path / "out"
+    args = ["explore", "--preset", "blaschke-half", "--n-max", "256", "--grid", "1024"]
+    assert run([*args, "--k", "2", "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"tail_inv_n", "tail_l1_over_n", "tail_l2_over_n", "decay_fit"}
+    assert summary["tail_l2_over_n"]["weight"] == "L2(n)/n"
+    assert summary["decay_fit"]["flag"] is None
+    manifest = json.loads((out / "manifest.json").read_text())
+    for stem in ("tail_inv_n", "tail_l1_over_n", "tail_l2_over_n", "mean_decay"):
+        assert f"plots/{stem}.dat" in manifest["outputs"]
+        assert len((out / "plots" / f"{stem}.dat").read_text().splitlines()) > 0
+    # the probes read diagonal 2 of the table
+    table = np.loadtxt(out / "table.csv", delimiter=",", comments="#", skiprows=9)
+    abs2 = table[table[:, 1] == 2, 4]
+    tail = summary["tail_inv_n"]
+    assert tail["n_last"] == 256
+    assert tail["final_partial_sum"] == pytest.approx(math.fsum(abs2 / np.arange(1, 257)), rel=1e-12)
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    assert run([*args, "--k", "5", "--k-window", "4", "--out", str(fresh)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --k 5 lies outside the k window")
+    assert not (fresh / "table.csv").exists()
+
+
+def test_coarse_grid_names_usable_grid(tmp_path, capsys):
+    """blaschke-half at n_max 4096 needs 8202 points per axis, which is not a
+    power of two; the message names the grid that works."""
+    out = tmp_path / "out"
+    assert run(["explore", "--preset", "blaschke-half", "--n-max", "4096", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "16384" in err
+    assert not (out / "table.csv").exists()
 
 
 def test_szego_subcommand(tmp_path, capsys):
@@ -188,6 +224,14 @@ def test_usage_errors(tmp_path, capsys):
     for source in sources:
         assert run(["check", *source, "--out", str(fresh)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (fresh / "table.csv").exists()
+    # a flag its subcommand does not read
+    for argv in (
+        ["szego", "--preset", "szego-equality", "--out", str(fresh)],
+        ["table", "--preset", "blaschke-half", "--checks", "weighted_series", "--out", str(fresh)],
+    ):
+        assert run(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments")
         assert not (fresh / "table.csv").exists()
 
 

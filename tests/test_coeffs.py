@@ -10,7 +10,6 @@ from watlab.coeffs import (
     TableError,
     brute_force_b,
     compute_b_table,
-    compute_c_table,
     required_resolution,
 )
 from watlab.symbols import ResolutionError, TrigSymbol, unit_modulus_set
@@ -43,6 +42,18 @@ def test_blaschke_first_row(blaschke_half):
     tab = make_table(blaschke_half, (1,), (1, 4), 4, 1024)
     assert tab.entry(1, 0) == pytest.approx(0.75, abs=1e-12)
     assert tab.entry(1, 1) == pytest.approx(0.5, abs=1e-12)
+    assert tab.entry(1, -1) == pytest.approx(-0.375, abs=1e-12)
+
+
+def test_row_parseval_inner(blaschke_half):
+    """With E = T and nu = 1 a row of the table holds the Fourier
+    coefficients of the unimodular f^n, so sum_k |b_{n,n-k}|^2 = 1 once the
+    window covers the spectrum (here up to a tail of about 2^-400)."""
+    tab = make_table(blaschke_half, (1,), (1, 8), 200, 512)
+    assert tab.e_measure == 1.0
+    for n in range(1, 9):
+        row = np.abs(tab.values[tab.row_index(n)]) ** 2
+        assert math.fsum(row.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_torus2_degenerate_zero_table(torus2_degenerate):
@@ -150,9 +161,9 @@ def test_brute_force_refinement_stable(blaschke_half):
 
 def test_resolution_enforced(blaschke_half):
     E = unit_modulus_set(blaschke_half.evaluate_on_grid(64), 1e-9)
-    with pytest.raises(ResolutionError, match="required"):
+    with pytest.raises(ResolutionError, match=r"\(210,\); smallest usable power-of-two grid: 256$"):
         compute_b_table(blaschke_half, E, (1,), (1, 100), 4)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError, match=r"\(202,\); smallest usable power-of-two grid: 256$"):
         brute_force_b(blaschke_half, (1,), 100, 0, 64)
 
 
@@ -184,36 +195,3 @@ def test_table_index_errors(blaschke_half):
         tab.entry(9, 0)
     with pytest.raises(TableError):
         tab.entry(1, 5)
-
-
-# -- composition-matrix rows ---------------------------------------------------
-
-
-def test_c_table_shift_symbol():
-    phi = TrigSymbol.trig_polynomial(1, {(1,): 1.0})
-    slab = compute_c_table(phi, (0, 5), (0, 8), 64)
-    for n in range(0, 6):
-        for beta in range(0, 9):
-            expected = 1.0 if beta == n else 0.0
-            assert abs(slab.entry(n, beta) - expected) <= 1e-13
-
-
-def test_c_table_blaschke_values(blaschke_half):
-    slab = compute_c_table(blaschke_half, (1, 4), (0, 16), 512)
-    assert slab.entry(1, 0) == pytest.approx(0.5, abs=1e-12)
-    assert slab.entry(1, 1) == pytest.approx(0.75, abs=1e-12)
-    assert slab.entry(1, 2) == pytest.approx(-0.375, abs=1e-12)
-
-
-def test_c_table_row_parseval_inner(blaschke_half):
-    slab = compute_c_table(blaschke_half, (1, 8), (0, 200), 512)
-    for n in range(1, 9):
-        assert slab.row_power(n) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_b_and_c_agree_for_inner(blaschke_half):
-    tab = make_table(blaschke_half, (1,), (1, 16), 3, 512)
-    slab = compute_c_table(blaschke_half, (1, 16), (-4, 20), 512)
-    for n in range(1, 17):
-        for k in tab.k_values:
-            assert abs(tab.entry(n, k) - slab.entry(n, n - k)) <= 1e-9
