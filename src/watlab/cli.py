@@ -294,12 +294,12 @@ def _cmd_check(args) -> int:
 def _write_dat(path: Path, xs, ys) -> None:
     with open(path, "w") as fh:
         for x, y in zip(xs, ys):
-            fh.write(f"{x} {y!r}\n")
+            fh.write(f"{x} {float(y)!r}\n")
 
 
 def _cmd_explore(args) -> int:
     cfg, out, table = _build(args, "plots")
-    summary = {}
+    summary = {"k": args.k}
     outputs = ["table.csv", "summary.json"]
     for weight, q, fname in (
         ("1/n", None, "tail_inv_n"), ("Lq/n", 1, "tail_l1_over_n"), ("Lq/n", 2, "tail_l2_over_n"),

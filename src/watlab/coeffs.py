@@ -8,17 +8,19 @@ f.  (f/|f|)^n equals f^n on the true E and differs from it by about
 its mask into per-cell data on E.  With theta = arg f - 2 pi nu . x,
 b_{n,n-k} = G^{-1} sum_{x in E} e^{i n theta(x)} e^{2 pi i k nu . x}, so each
 diagonal k, over all n (negative n included) and in any dimension, is one
-type-1 nonuniform FFT in the scalar phase theta.  It is computed by Gaussian
-gridding (Greengard & Lee, SIAM Rev. 46, 2004; Dutt & Rokhlin, SIAM J. Sci.
-Comput. 14, 1993): spread onto an oversampled periodic grid, one FFT per
-diagonal, then deconvolve.  np.bincount and np.fft reduce in a fixed order,
-so tables are bit-identical across runs.  brute_force_b sums the same
-integrand cell by cell.
+type-1 nonuniform FFT in the scalar phase theta: spread onto an oversampled
+periodic grid with the "exponential of semicircle" kernel
+exp(beta (sqrt(1 - z^2) - 1)) of Barnett, Magland & af Klinteberg (SIAM J.
+Sci. Comput. 41, 2019), one FFT per diagonal, then divide by the kernel's
+Fourier transform, found by Gauss-Legendre quadrature.  np.bincount and
+np.fft reduce in a fixed order, so tables are bit-identical across runs.
+brute_force_b sums the same integrand cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +46,22 @@ ENTRY_BOUND_SLACK = 1e-12
 # grids take twice that.  Larger tables are refused before they are allocated.
 MAX_TABLE_ENTRIES = 2**24
 
-# Gaussian-gridding NUFFT: grid oversampling, kernel grid points on each side
-# of a source, and sources spread per pass.  With 14 points the tables stay
-# within 3e-13 of brute_force_b (the worst case, an edge row of a two-row
-# table, is set by aliasing, ~exp(-14 pi / 1.5) |E|); 10 points already give
-# ~1e-11 and 6 points ~1e-7.  Chunks of 2048 sources keep the kernel scratch
-# to a few MiB.
+# NUFFT: grid oversampling, kernel grid points on each side of a source, and
+# sources spread per pass.  The kernel's shape parameter is
+# beta = 2.30 * 2 * NUFFT_HALF_WIDTH, Barnett et al.'s value for 2x
+# oversampling.  With 8 points a side (16 per source) the tables stay within
+# about 2e-14 of brute_force_b on one- and two-row tables, negative rows and
+# partial E; 5 points give ~1e-11 and 3 points ~1e-7.  Chunks of 2048
+# sources keep the kernel scratch near 1 MiB.
 NUFFT_OVERSAMPLING = 2
-NUFFT_HALF_WIDTH = 14
+NUFFT_HALF_WIDTH = 8
 NUFFT_CHUNK = 2048
+# modes per block of the deconvolution's quadrature (modes x nodes scratch)
+KERNEL_TRANSFORM_BLOCK = 512
+
+# Rows of table.csv formatted per write, so the text of a long table is
+# never held whole.
+CSV_BLOCK_ROWS = 256
 
 
 class TableError(ValueError):
@@ -130,17 +139,19 @@ class DiagonalTable:
         lines.append(f"# e_measure: {self.e_measure!r}")
         lines.append(f"# degenerate: {self.degenerate}")
         lines.append(
-            f"# engine: nufft-gauss oversampling={NUFFT_OVERSAMPLING} "
+            f"# engine: nufft-es oversampling={NUFFT_OVERSAMPLING} "
             f"half_width={NUFFT_HALF_WIDTH}"
         )
         lines.append("n,k,re,im,abs2")
-        for i, n in enumerate(range(self.n_min, self.n_max + 1)):
-            for j, k in enumerate(self.k_values):
-                v = self.values[i, j]
-                re, im = float(v.real), float(v.imag)
-                lines.append(f"{n},{k},{re!r},{im!r},{re * re + im * im!r}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+            for lo in range(0, len(self.values), CSV_BLOCK_ROWS):
+                block = []
+                for n, row in enumerate(self.values[lo:lo + CSV_BLOCK_ROWS], self.n_min + lo):
+                    for k, v in zip(self.k_values, row):
+                        re, im = float(v.real), float(v.imag)
+                        block.append(f"{n},{k},{re!r},{im!r},{re * re + im * im!r}\n")
+                fh.write("".join(block))
 
 
 def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
@@ -162,26 +173,74 @@ def masked_integrand(E: UnitModulusSet, nu: Sequence[int], n: int, k: int):
     return samples / np.abs(samples), phase, u
 
 
+def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
+    """The kernel phi(z) = exp(beta (sqrt(1 - z^2) - 1)), beta = 2.30 * 2
+    width (Barnett et al.'s value for 2x oversampling), computed in place in
+    z.  |z| <= 1 up to rounding, so 1 - z^2 is clipped at 0."""
+    np.multiply(z, z, out=z)
+    np.subtract(1, z, out=z)
+    np.maximum(z, 0, out=z)
+    np.sqrt(z, out=z)
+    z -= 1
+    z *= 2.30 * 2 * width
+    return np.exp(z, out=z)
+
+
+@lru_cache(maxsize=None)
+def _es_quadrature(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights, each times phi(z), of the (4 width + 4)-point
+    Gauss-Legendre rule on [0, 1], read-only since every caller shares them.
+    The Legendre nodes come from Newton's method on the three-term
+    recurrence, started from Tricomi's estimate."""
+    count = 4 * width + 4
+    x = np.cos(np.pi * (np.arange(count) + 0.75) / (count + 0.5))
+    for _ in range(8):  # quadratic convergence: 3 steps reach rounding
+        p_prev, p = np.ones(count), x
+        for j in range(2, count + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = count * (x * p - p_prev) / (x * x - 1)
+        x = x - p / dp
+    z = (1 + x) / 2
+    # the Legendre weight 2 / ((1 - x^2) P'(x)^2), halved for the map to [0, 1]
+    weights = _es_kernel(z.copy(), width) / ((1 - x * x) * dp * dp)
+    z.flags.writeable = weights.flags.writeable = False
+    return z, weights
+
+
+def _kernel_transform(m: np.ndarray, h: float, width: int) -> np.ndarray:
+    """The Fourier transform 2 int_0^{width h} kappa(y) cos(m y) dy of the
+    spreading kernel kappa(y) = phi(y / (width h)) at the integer modes m,
+    by quadrature over blocks of modes, so memory stays O(len(m))."""
+    z, weights = _es_quadrature(width)
+    scale = width * h
+    total = np.empty(m.shape)
+    for lo in range(0, m.size, KERNEL_TRANSFORM_BLOCK):
+        block = m[lo:lo + KERNEL_TRANSFORM_BLOCK]
+        cosines = np.cos(np.multiply.outer(block * scale, z))
+        total[lo:lo + block.size] = (cosines * weights).sum(axis=1)
+    return 2 * scale * total
+
+
 def _nufft_type1(
     theta: np.ndarray, phase: np.ndarray, k_values: Sequence[int], n_min: int, n_max: int
 ) -> np.ndarray:
     """S[n - n_min, j] = sum_s exp(i n theta_s) exp(2 pi i k_j phase_s) for
-    n_min <= n <= n_max, by one type-1 NUFFT per k_j (Gaussian gridding)."""
+    n_min <= n <= n_max, by one type-1 NUFFT per k_j."""
     r, width = NUFFT_OVERSAMPLING, NUFFT_HALF_WIDTH
     modes = n_max - n_min + 1
     n_c, size = n_min + modes // 2, r * modes
-    # Greengard & Lee's kernel variance for oversampling r, `width` points a side
-    tau = np.pi * width / (modes**2 * r * (r - 0.5))
     h = 2 * np.pi / size
     offsets = np.arange(1 - width, width + 1)
-    theta = np.mod(theta, 2 * np.pi)
     grids = np.zeros((len(k_values), size), dtype=np.complex128)
+    # the per-chunk scratch is reused in place, to keep the peak memory low
     for lo in range(0, theta.size, NUFFT_CHUNK):
-        t = theta[lo:lo + NUFFT_CHUNK]
+        t = np.mod(theta[lo:lo + NUFFT_CHUNK], 2 * np.pi)
         near = np.floor(t / h).astype(np.int64)[:, None] + offsets
-        dist = near * h - t[:, None]
-        kernel = np.exp(-dist * dist / (4 * tau))
-        cells = np.mod(near, size).ravel()
+        z = near * h
+        z -= t[:, None]
+        z *= 1 / (width * h)
+        kernel = _es_kernel(z, width)
+        cells = np.mod(near, size, out=near).ravel()
         shifted = np.exp(1j * n_c * t)
         for j, k in enumerate(k_values):
             c = shifted * np.exp(2j * np.pi * k * phase[lo:lo + NUFFT_CHUNK])
@@ -189,7 +248,7 @@ def _nufft_type1(
             grids[j].imag += np.bincount(cells, (kernel * c.imag[:, None]).ravel(), size)
     m = np.arange(n_min, n_max + 1) - n_c
     spectrum = np.fft.ifft(grids, axis=1)[:, m % size]
-    return (spectrum * (np.sqrt(np.pi / tau) * np.exp(tau * m * m))).T
+    return (spectrum * (2 * np.pi / _kernel_transform(m, h, width))).T
 
 
 def compute_b_table(
@@ -222,7 +281,8 @@ def compute_b_table(
     if degenerate:
         values = np.zeros((rows, len(k_values)), dtype=np.complex128)
     else:
-        _, phase, theta = _masked_geometry(E, nu)
+        # the samples of f are not needed, so they are not held through the NUFFT
+        phase, theta = _masked_geometry(E, nu)[1:]
         values = _nufft_type1(theta, phase, k_values, n_min, n_max) / E.sampling.size
         peak = float(np.abs(values).max()) if values.size else 0.0
         if peak > E.measure + ENTRY_BOUND_SLACK:

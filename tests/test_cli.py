@@ -87,13 +87,16 @@ def test_explore_off_diagonal(tmp_path, capsys):
     args = ["explore", "--preset", "blaschke-half", "--n-max", "256", "--grid", "1024"]
     assert run([*args, "--k", "2", "--out", str(out)]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"tail_inv_n", "tail_l1_over_n", "tail_l2_over_n", "decay_fit"}
+    assert set(summary) == {"k", "tail_inv_n", "tail_l1_over_n", "tail_l2_over_n", "decay_fit"}
+    assert summary["k"] == 2
     assert summary["tail_l2_over_n"]["weight"] == "L2(n)/n"
     assert summary["decay_fit"]["flag"] is None
     manifest = json.loads((out / "manifest.json").read_text())
     for stem in ("tail_inv_n", "tail_l1_over_n", "tail_l2_over_n", "mean_decay"):
         assert f"plots/{stem}.dat" in manifest["outputs"]
-        assert len((out / "plots" / f"{stem}.dat").read_text().splitlines()) > 0
+        # two numeric columns, readable by np.loadtxt (and gnuplot)
+        data = np.loadtxt(out / "plots" / f"{stem}.dat", ndmin=2)
+        assert data.shape[0] > 0 and data.shape[1] == 2
     # the probes read diagonal 2 of the table
     table = np.loadtxt(out / "table.csv", delimiter=",", comments="#", skiprows=9)
     abs2 = table[table[:, 1] == 2, 4]
@@ -285,6 +288,7 @@ cfg, out = sys.argv[1:]
 args = ["check", "--config", cfg, "--out", out]
 assert watlab.cli.main(args + ["--checks", "weighted_series,mean_ii"]) == 0
 assert "scipy.integrate" not in sys.modules, "loaded by a run without mean_iii"
+assert "numpy.polynomial" not in sys.modules, "loaded by a table build"
 assert watlab.cli.main(args + ["--checks", "mean_iii"]) == 0
 assert "scipy.integrate" in sys.modules, "mean_iii ran without quad"
 """
@@ -293,7 +297,8 @@ assert "scipy.integrate" in sys.modules, "mean_iii ran without quad"
 def test_scipy_integrate_loaded_only_by_quadrature_checks(tmp_path):
     """Only mean_iii (and the cauchy_mvt lemma) integrate numerically;
     importing watlab and running other checks leave scipy.integrate, which
-    takes about 0.6 s to import, unloaded."""
+    takes about 0.6 s to import, unloaded.  The table engine finds its
+    Gauss-Legendre nodes itself and leaves numpy.polynomial unloaded."""
     cfg = write_config(tmp_path, small_preset(checks=[
         {"id": "weighted_series", "N": [0], "k": [0]},
         {"id": "mean_ii", "p": [10], "k": [0]},

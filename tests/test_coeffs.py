@@ -111,11 +111,38 @@ def test_oracle_equivalence_wide_window(two_zero_oracle):
 
 def test_kernel_half_width_sets_accuracy(monkeypatch, two_zero_oracle):
     err_default = two_zero_error(two_zero_oracle)
-    monkeypatch.setattr(coeffs, "NUFFT_HALF_WIDTH", 10)
+    monkeypatch.setattr(coeffs, "NUFFT_HALF_WIDTH", 5)
     assert two_zero_error(two_zero_oracle) >= 100 * err_default
-    # 6 points per side fails the oracle tolerance of acceptance criterion 7.
-    monkeypatch.setattr(coeffs, "NUFFT_HALF_WIDTH", 6)
+    # 3 points per side fails the oracle tolerance of acceptance criterion 7.
+    monkeypatch.setattr(coeffs, "NUFFT_HALF_WIDTH", 3)
     assert two_zero_error(two_zero_oracle) > 1e-9
+
+
+_ARC = TrigSymbol.trig_polynomial(1, {(0,): 0.5, (1,): 0.5})
+_TWO_ZEROS = TrigSymbol.blaschke([0.5, -0.3 + 0.2j])
+_THREE_ZEROS = TrigSymbol.blaschke([0.6, -0.4 + 0.3j, 0.1 - 0.7j])
+
+
+# (symbol, nu, n range, k window, grid, e_tol): tables where aliasing of the
+# spreading kernel is largest (one or two rows, negative rows), partial E,
+# three zeros and nu = 2.
+@pytest.mark.parametrize("f, nu, n_range, k_window, grid, e_tol", [
+    pytest.param(_TWO_ZEROS, 1, (7, 7), 3, 256, 1e-9, id="one-row"),
+    pytest.param(_TWO_ZEROS, 2, (-2, -1), 4, 512, 1e-9, id="two-negative-rows"),
+    pytest.param(_THREE_ZEROS, 1, (-1, 0), 4, 512, 1e-9, id="two-rows-through-zero"),
+    pytest.param(_TWO_ZEROS, 1, (-32, 32), 4, 512, 1e-9, id="negative-rows"),
+    pytest.param(_ARC, 1, (-8, 8), 2, 512, 0.05, id="arc-0.05"),
+    pytest.param(_ARC, 1, (-8, 8), 2, 512, 1e-3, id="arc-1e-3"),
+    pytest.param(_THREE_ZEROS, 1, (1, 48), 4, 1024, 1e-9, id="three-zeros"),
+    pytest.param(_TWO_ZEROS, 2, (-16, 16), 3, 512, 1e-9, id="nu-2"),
+])
+def test_edge_tables_match_oracle(f, nu, n_range, k_window, grid, e_tol):
+    tab = make_table(f, (nu,), n_range, k_window, grid, e_tol)
+    direct = np.array([
+        [brute_force_b(f, (nu,), n, k, grid, e_tol) for k in tab.k_values]
+        for n in range(n_range[0], n_range[1] + 1)
+    ])
+    assert np.abs(tab.values - direct).max() <= 5e-14
 
 
 # a + (1-a) e^{2 pi i x} has |f| = 1 only at x = 0, so at a loose e_tol its
@@ -186,7 +213,7 @@ def test_csv_roundtrip_bytes(tmp_path, blaschke_half):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()
     assert "n,k,re,im,abs2" in header
-    assert "# engine: nufft-gauss oversampling=2 half_width=14" in header
+    assert "# engine: nufft-es oversampling=2 half_width=8" in header
 
 
 def test_table_index_errors(blaschke_half):
