@@ -7,9 +7,9 @@ lower bounds of the infinite sum, so a truncated pass is necessary but not
 sufficient; the report labels this explicitly.
 
 The double-grid checks (log-integral bound, Abel series, identity) walk
-their pair grid in row blocks of about PAIR_BLOCK_CELLS cells into a
-``StreamingSum``, in the same compensated order as ``csum`` of the whole
-grid, so they never hold it and their values match that sum to the bit.
+their pair grid in row blocks of about PAIR_BLOCK_CELLS cells and add the
+``csum`` of each block to a running total, so they never hold the whole
+grid.  Their values depend on the block size only at rounding level.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .accum import NeumaierSum, StreamingSum, csum
+from .accum import csum
 from .coeffs import DiagonalTable, compute_b_table, masked_integrand, required_resolution
 from .iterlog import IteratedLogParams, big_l, find_constants, log_iter
 from .lattice import HalfSpace
@@ -262,9 +262,7 @@ def log_modulus_integral(
         if coeffs.size == 1:
             return math.log(abs(coeffs[0])), "roots", 0
         roots = np.roots(coeffs[::-1])
-        val = math.log(abs(coeffs[-1])) + math.fsum(
-            math.log(max(1.0, abs(r))) for r in roots
-        )
+        val = math.log(abs(coeffs[-1])) + csum(np.log(np.maximum(1.0, np.abs(roots))))
         return val, "roots", 0
     sampling = f.evaluate_on_grid(resolution)
     mods = np.abs(sampling.samples).ravel()
@@ -352,7 +350,7 @@ def log_integral_bound_check(
     # restriction to E x E can only shrink the integral; recorded for reference
     mask = unit_modulus_set(sampling, e_tol).mask.ravel()
     full_E = bool(mask.all())  # then E x E is the whole grid, summed once
-    whole, on_E = StreamingSum(), StreamingSum()
+    whole = on_E = 0.0
     excluded = 0
     for rows in _row_blocks(total, total):
         abslog = _kernel_modulus(vals, phase, r, rows)
@@ -360,11 +358,11 @@ def log_integral_bound_check(
         np.clip(abslog, LOG_FLOOR, None, out=abslog)
         np.log(abslog, out=abslog)
         np.abs(abslog, out=abslog)
-        whole.add(abslog)
+        whole += csum(abslog)
         if not full_E:
-            on_E.add(abslog[np.ix_(mask[rows], mask)])
-    lhs = float(whole.value) / total**2
-    lhs_restricted = lhs if full_E else float(on_E.value) / total**2
+            on_E += csum(abslog[np.ix_(mask[rows], mask)])
+    lhs = whole / total**2
+    lhs_restricted = lhs if full_E else on_E / total**2
     rhs = math.log(4.0 / (r * abs(f0) ** 2))
     return BoundReport(
         check_id="log_integral_bound",
@@ -390,10 +388,9 @@ def identity_check(
     e_tol: float = DEFAULT_ENTRY_TOL,
     tol: float = DEFAULT_ENTRY_TOL,
 ) -> BoundReport:
-    """|b_{n,n-k}|^2 against its double-integral form over E x E.
-
-    The double integral factors as a product of single integrals; both
-    evaluation paths are computed and compared.
+    """|b_{n,n-k}|^2 from the table against its double-integral form
+    G^{-2} sum over E x E of u(x) conj(u(y)), u = masked_integrand, summed
+    over the pair grid in row blocks.
     """
     nu = tuple(int(v) for v in nu)
     sampling = f.evaluate_on_grid(resolution)
@@ -414,10 +411,10 @@ def identity_check(
     u = masked_integrand(E, nu, n, k)[2]
     _cap_double_grid(u.size)
     u_conj = np.conj(u)
-    acc = StreamingSum()
+    integral = 0j
     for rows in _row_blocks(u.size, u.size):
-        acc.add(np.multiply.outer(u[rows], u_conj))
-    integral = acc.value / sampling.size**2
+        integral += csum(np.multiply.outer(u[rows], u_conj))
+    integral /= sampling.size**2
     rhs = float(integral.real)
     diff = abs(lhs - rhs)
     return BoundReport(
@@ -472,15 +469,12 @@ def abel_series_check(
     table = compute_b_table(f, E_table, nu, (N - n_trunc, N + n_trunc), [k])
     series_bound = math.log(16.0 / (r**2 * abs(f0) ** 4))
 
-    acc = NeumaierSum()
-    max_partial = 0.0
-    for n in range(1, n_trunc + 1):
-        term = (
-            abs(table.entry(n + N, k)) ** 2 + abs(table.entry(-n + N, k)) ** 2
-        ) * r**n / n
-        acc.add(term)
-        max_partial = max(max_partial, acc.value)
-    lhs = acc.value
+    # rows N - n_trunc .. N + n_trunc; n = 1..n_trunc pairs row N + n with N - n
+    abs2 = table.abs2_column(k)
+    n = np.arange(1, n_trunc + 1)
+    partials = np.cumsum((abs2[n_trunc + 1:] + abs2[:n_trunc][::-1]) * r**n / n)
+    lhs = float(partials[-1]) if partials.size else 0.0
+    max_partial = float(partials.max(initial=0.0))
 
     if table.degenerate:
         rhs = 0.0
@@ -488,7 +482,7 @@ def abel_series_check(
         unit, phase, u = masked_integrand(E, nu, N, k)
         _cap_double_grid(u.size)
         u_conj = np.conj(u)
-        acc = StreamingSum()
+        total = 0j
         for rows in _row_blocks(u.size, u.size):
             weight = _kernel_modulus(unit, phase, r, rows)
             np.clip(weight, LOG_FLOOR, None, out=weight)
@@ -496,8 +490,8 @@ def abel_series_check(
             np.log(weight, out=weight)
             pair = np.multiply.outer(u[rows], u_conj)
             np.multiply(pair, weight, out=pair)
-            acc.add(pair)
-        rhs = 2.0 * float(acc.value.real) / sampling.size**2
+            total += csum(pair)
+        rhs = 2.0 * total.real / sampling.size**2
 
     tail = r ** (n_trunc + 1) / ((n_trunc + 1) * (1.0 - r))
     tolerance = base_tol + tail
@@ -531,7 +525,7 @@ def harmonic_block_bound(M: int, p: int) -> float:
         raise HypothesisViolation("p must be >= 1")
     inv = 1.0 / np.arange(1, p + 1)
     cum = np.concatenate(([0.0], np.cumsum(inv)))
-    h_p = float(math.fsum(inv.tolist()))
+    h_p = csum(inv)
     # m - M runs over 0..p; the double-sided sum is H_{m-M} + H_{M+p-m}
     double_sided = cum + cum[::-1]
     if double_sided.min() < h_p - 1e-12:

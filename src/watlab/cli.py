@@ -195,13 +195,31 @@ def _load_run_config(args) -> RunConfig:
                 f"check {check['id']!r}: unknown parameters {extra}; "
                 f"it takes {', '.join([*lists, *singles])}"
             )
-        for name in lists:
-            value = check.get(name, [])
-            if not (isinstance(value, list) or (name == "k" and value == "window")):
+        for name in sorted(set(check) - {"id"}):
+            value = check[name]
+            if name in lists and name == "k" and value == "window":
+                continue
+            if name in lists and not isinstance(value, list):
                 raise ConfigError(f"check {check['id']!r}: {name} must be a list, got {value!r}")
+            if not all(map(_PARAM_OK[name], value if name in lists else [value])):
+                raise ConfigError(f"check {check['id']!r}: malformed {name}: {value!r}")
         if check["id"] in ("mean_iii", "mean_iv"):
             _check_q(check.get("q", 1))
     return cfg
+
+
+def _is_int(v) -> bool:
+    """An integer numpy can hold: a larger one overflows in index arithmetic."""
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 < v < 2**63
+
+
+# Whether one value of a check parameter is well formed (for a list-valued
+# parameter, one element of its list).
+_PARAM_OK = {
+    **dict.fromkeys(("N", "k", "n", "p", "M", "q", "n_trunc"), _is_int),
+    "r": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "grid": lambda v: _is_int(v) or (isinstance(v, list) and bool(v) and all(map(_is_int, v))),
+}
 
 
 def _check_q(q) -> None:

@@ -68,10 +68,6 @@ class TableError(ValueError):
     pass
 
 
-def default_degenerate_tol(resolution: Sequence[int]) -> float:
-    return DEGENERATE_MEASURE_FACTOR / min(resolution)
-
-
 def k_values_for_window(k_window) -> tuple[int, ...]:
     if isinstance(k_window, int):
         if k_window < 0:
@@ -257,7 +253,6 @@ def compute_b_table(
     nu: Sequence[int],
     n_range: tuple[int, int],
     k_window,
-    degenerate_tol: float | None = None,
 ) -> DiagonalTable:
     nu = tuple(int(v) for v in nu)
     if len(nu) != f.dimension:
@@ -275,9 +270,7 @@ def compute_b_table(
     if any(g < r for g, r in zip(res, need)):
         raise _too_coarse(res, need, "characters up to (n-k)nu")
 
-    if degenerate_tol is None:
-        degenerate_tol = default_degenerate_tol(res)
-    degenerate = E.measure <= degenerate_tol
+    degenerate = E.measure <= DEGENERATE_MEASURE_FACTOR / min(res)
     if degenerate:
         values = np.zeros((rows, len(k_values)), dtype=np.complex128)
     else:
@@ -304,7 +297,7 @@ def brute_force_b(
     e_tol: float = 1e-9,
 ) -> complex:
     """The table's integrand on E (masked_integrand), evaluated cell by cell
-    on a fresh sampling and summed directly with a compensated sum: no NUFFT."""
+    on a fresh sampling and summed directly with csum: no NUFFT."""
     nu = tuple(int(v) for v in nu)
     sampling = f.evaluate_on_grid(resolution)
     if any(

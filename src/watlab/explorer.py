@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import NeumaierSum
+from .accum import csum
 from .coeffs import DiagonalTable
 from .iterlog import big_l, positivity_threshold
 
@@ -60,12 +60,8 @@ def tail_series(
     n_all = table.n_values
     keep = n_all >= max(1, start)
     n_vals = n_all[keep]
-    terms = abs2[keep]
-    acc = NeumaierSum()
-    partials = np.empty(n_vals.size)
-    for i, (n, t) in enumerate(zip(n_vals, terms)):
-        acc.add(fn(int(n)) * float(t))
-        partials[i] = acc.value
+    weights = np.array([fn(int(n)) for n in n_vals], dtype=float)
+    partials = np.cumsum(weights * abs2[keep])
     slope = None
     pos = partials > 0
     if np.count_nonzero(pos) >= 3:
@@ -91,7 +87,7 @@ def decay_fit(table: DiagonalTable, k: int, M: int = 1) -> dict:
     p = 2
     while M + p <= table.n_max:
         i0 = table.row_index(M)
-        means.append(float(math.fsum(abs2[i0 : i0 + p + 1].tolist())) / (p + 1))
+        means.append(csum(abs2[i0 : i0 + p + 1]) / (p + 1))
         p_values.append(p)
         p *= 2
     if len(p_values) < 3:

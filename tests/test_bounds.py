@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from watlab import bounds
-from watlab.accum import csum
 from watlab.bounds import (
     LOG_FLOOR,
     HypothesisViolation,
@@ -258,7 +257,18 @@ def outer_masked_u(f, n, k, grid, e_tol):
     return masked_integrand(E, (1,), n, k), sampling.size
 
 
-@pytest.fixture(params=[1, 700, 5000], ids=lambda c: f"block{c}")
+def fsum_complex(x):
+    """math.fsum of a complex array: exactly rounded, in any order."""
+    x = np.ravel(x)
+    return complex(math.fsum(x.real.tolist()), math.fsum(x.imag.tolist()))
+
+
+# Each block's csum and the running total round at ~log2(cells) eps; the pair
+# sums below are O(1), so 2e-15 is some ten ulps.
+PAIR_TOL = 2e-15
+
+
+@pytest.fixture(params=[1, 700, 5000, 2**18], ids=lambda c: f"block{c}")
 def small_blocks(request, monkeypatch):
     monkeypatch.setattr(bounds, "PAIR_BLOCK_CELLS", request.param)
 
@@ -273,11 +283,12 @@ def test_log_integral_blocks_match_outer_product(small_blocks, name, e_tol):
     mask = np.abs(np.abs(vals) - 1.0) <= e_tol
     assert name == "blaschke" or not mask.all()
     rep = log_integral_bound_check(f, (1,), 0.5, 256, e_tol=e_tol)
-    assert rep.lhs == csum(abslog.ravel()) / 256**2
+    assert rep.lhs == pytest.approx(math.fsum(abslog.ravel().tolist()) / 256**2, rel=0, abs=PAIR_TOL)
     assert rep.rhs == math.log(4.0 / (0.5 * abs(f.coefficient_at_zero()) ** 2))
+    restricted = math.fsum(abslog[np.outer(mask, mask)].tolist()) / 256**2
     assert rep.details == {
         "excluded_nodes": int(np.count_nonzero(mods < LOG_FLOOR)),
-        "lhs_restricted_to_E": csum(abslog[np.outer(mask, mask)]) / 256**2,
+        "lhs_restricted_to_E": pytest.approx(restricted, rel=0, abs=PAIR_TOL),
         "floor": LOG_FLOOR,
     }
 
@@ -287,16 +298,16 @@ def test_identity_blocks_match_outer_product(small_blocks, name, e_tol):
     f = PAIR_SYMBOLS[name]
     for n, k in ((1, 0), (3, -1), (-2, 2)):
         (_, _, u), size = outer_masked_u(f, n, k, 256, e_tol)
-        integral = csum(np.outer(u, np.conj(u)).ravel()) / size**2
+        integral = fsum_complex(np.outer(u, np.conj(u))) / size**2
         rep = identity_check(f, (1,), n, k, 256, e_tol=e_tol)
         assert rep.lhs == abs(compute_b_table(
             f, unit_modulus_set(f.evaluate_on_grid(256), e_tol), (1,), (n, n), [k]
         ).entry(n, k)) ** 2
-        assert rep.rhs == float(integral.real)
+        assert rep.rhs == pytest.approx(integral.real, rel=0, abs=PAIR_TOL)
         assert rep.details == {
             "two_sided": True,
             "abs_difference": abs(rep.lhs - rep.rhs),
-            "double_integral_imag": float(integral.imag),
+            "double_integral_imag": pytest.approx(integral.imag, rel=0, abs=PAIR_TOL),
         }
 
 
@@ -305,15 +316,36 @@ def test_abel_blocks_match_outer_product(small_blocks, monkeypatch, name, e_tol)
     f = PAIR_SYMBOLS[name]
     (vals, phase, u), size = outer_masked_u(f, 1, 0, 256, e_tol)
     weight = np.log(1.0 / np.clip(outer_kernel_modulus(vals, phase, 0.9), LOG_FLOOR, None))
-    rhs = 2.0 * float(csum((np.outer(u, np.conj(u)) * weight).ravel()).real) / size**2
+    rhs = 2.0 * fsum_complex(np.outer(u, np.conj(u)) * weight).real / size**2
     rep = abel_series_check(f, (1,), 1, 0, 0.9, 20, 256, e_tol=e_tol)
     monkeypatch.undo()  # the series side does not depend on the block size
     whole = abel_series_check(f, (1,), 1, 0, 0.9, 20, 256, e_tol=e_tol)
     assert rep.lhs == whole.lhs
-    assert rep.rhs == rhs
-    assert rep.details["abs_difference"] == abs(rep.lhs - rhs)
+    assert rep.rhs == pytest.approx(rhs, rel=0, abs=PAIR_TOL)
+    assert rep.details["abs_difference"] == abs(rep.lhs - rep.rhs)
+    del rep.details["abs_difference"], whole.details["abs_difference"]
     assert rep.details == whole.details
     assert rep.passed == whole.passed
+
+
+@pytest.mark.parametrize("f, N, n_trunc, grid, e_tol", [
+    (TrigSymbol.blaschke([0.5]), 0, 200, 512, 1e-9),
+    (EQUALITY_SYMBOL, 1, 20, 256, 0.05),
+], ids=["blaschke", "arc"])
+def test_abel_series_side_matches_fsum(f, N, n_trunc, grid, e_tol):
+    """The vectorised series side against an exactly rounded sum of the same
+    table entries, term by term as the docstring writes them."""
+    r = 0.9
+    E = unit_modulus_set(f.evaluate_on_grid(grid), e_tol)
+    table = compute_b_table(f, E, (1,), (N - n_trunc, N + n_trunc), [0])
+    terms = [
+        (abs(table.entry(N + n, 0)) ** 2 + abs(table.entry(N - n, 0)) ** 2) * r**n / n
+        for n in range(1, n_trunc + 1)
+    ]
+    rep = abel_series_check(f, (1,), N, 0, r, n_trunc, grid, e_tol=e_tol)
+    want = math.fsum(terms)
+    assert rep.lhs == pytest.approx(want, rel=1e-14, abs=0)
+    assert rep.details["max_partial_sum"] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # -- elementary lemmas ---------------------------------------------------------

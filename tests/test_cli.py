@@ -228,6 +228,26 @@ def test_usage_errors(tmp_path, capsys):
         assert run(["check", *source, "--out", str(fresh)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not (fresh / "table.csv").exists()
+    # check parameters of the wrong type, in a list or on their own
+    for i, (entry, name) in enumerate((
+        ({"id": "abel", "n_trunc": "x"}, "n_trunc"),
+        ({"id": "abel", "N": 0.5}, "N"),
+        ({"id": "abel", "r": None}, "r"),
+        ({"id": "abel", "k": True}, "k"),
+        ({"id": "identity", "grid": "abc"}, "grid"),
+        ({"id": "identity", "grid": [256, "x"]}, "grid"),
+        ({"id": "szego", "grid": "x"}, "grid"),
+        ({"id": "weighted_series", "N": ["a"]}, "N"),
+        ({"id": "weighted_series", "N": [2**63]}, "N"),
+        ({"id": "mean_ii", "M": 1.5}, "M"),
+        ({"id": "mean_iv", "p": ["10"]}, "p"),
+        ({"id": "log_integral", "r": ["0.5"]}, "r"),
+    )):
+        cfg = write_config(tmp_path, small_preset(checks=[entry]), f"m{i}.json")
+        assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: check {entry['id']!r}: malformed {name}: "), err
+        assert not (fresh / "table.csv").exists()
     # a flag its subcommand does not read
     for argv in (
         ["szego", "--preset", "szego-equality", "--out", str(fresh)],

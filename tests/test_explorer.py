@@ -5,6 +5,7 @@ import pytest
 
 from watlab.coeffs import DiagonalTable, compute_b_table
 from watlab.explorer import ProbeError, decay_fit, tail_series
+from watlab.iterlog import big_l
 from watlab.symbols import unit_modulus_set
 
 
@@ -62,6 +63,21 @@ def test_tail_bounded_by_constant(blaschke_half):
     probe = tail_series(tab, 0)
     C = math.log(16.0 / 0.5**4)
     assert probe.partial_sums[-1] <= C
+
+
+@pytest.mark.parametrize("weight, q", [("1/n", None), ("Lq/n", 1), ("Lq/n", 2)])
+def test_tail_partial_sums_match_fsum(blaschke_half, weight, q):
+    """Every cumulative partial sum against an exactly rounded sum of the
+    same weighted terms."""
+    tab = blaschke_table(blaschke_half)
+    for k in (-1, 0, 1):
+        probe = tail_series(tab, k, weight=weight, q=q)
+        terms = [
+            (1.0 if q is None else big_l(q, n)) / n * abs(tab.entry(n, k)) ** 2
+            for n in probe.n_values.tolist()
+        ]
+        want = [math.fsum(terms[: i + 1]) for i in range(len(terms))]
+        np.testing.assert_allclose(probe.partial_sums, want, rtol=1e-14, atol=0)
 
 
 def test_lq_weight_start_index():
