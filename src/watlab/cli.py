@@ -36,7 +36,7 @@ from .config import ConfigError, RunConfig, load_config
 from .explorer import decay_fit, tail_series
 from .iterlog import DomainError, find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
-from .symbols import GridSampling, SymbolError, sup_norm, unit_modulus_set
+from .symbols import GridSampling, SymbolError, check_resolution, sup_norm, unit_modulus_set
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -203,6 +203,11 @@ def _load_run_config(args) -> RunConfig:
                 raise ConfigError(f"check {check['id']!r}: {name} must be a list, got {value!r}")
             if not all(map(_PARAM_OK[name], value if name in lists else [value])):
                 raise ConfigError(f"check {check['id']!r}: malformed {name}: {value!r}")
+        if "grid" in check:
+            try:
+                check_resolution(check["grid"], cfg.symbol.dimension)
+            except SymbolError as exc:
+                raise ConfigError(f"check {check['id']!r}: {exc}") from exc
         if check["id"] in ("mean_iii", "mean_iv"):
             _check_q(check.get("q", 1))
     return cfg

@@ -37,7 +37,12 @@ def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
-def _check_resolution(resolution: Sequence[int], dimension: int) -> tuple[int, ...]:
+def check_resolution(resolution: Sequence[int] | int, dimension: int) -> tuple[int, ...]:
+    """The per-axis resolution of a grid given by one side or one per axis;
+    raises SymbolError unless it has ``dimension`` power-of-two axes and at
+    most MAX_GRID_CELLS cells."""
+    if isinstance(resolution, int):
+        resolution = (resolution,) * dimension
     res = tuple(int(g) for g in resolution)
     if len(res) != dimension:
         raise SymbolError(f"resolution has {len(res)} axes, symbol has {dimension}")
@@ -169,9 +174,7 @@ class TrigSymbol:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_on_grid(self, resolution: Sequence[int] | int) -> GridSampling:
-        if isinstance(resolution, int):
-            resolution = (resolution,) * self.dimension
-        res = _check_resolution(resolution, self.dimension)
+        res = check_resolution(resolution, self.dimension)
         if self.spectrum is not None:
             need = self.min_resolution()
             if any(g < n for g, n in zip(res, need)):

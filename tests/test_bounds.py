@@ -237,12 +237,24 @@ def test_abel_r_rejected(blaschke_half):
         abel_series_check(blaschke_half, (1,), 0, 0, 1.0, 10, 128)
 
 
-# -- the pair grid walked in row blocks against the whole outer product -------
+# -- the pair grid walked in triangle blocks against the whole outer product --
 
 # |f| = |cos(pi x)|: E at e_tol 0.05 is the arc |x| <= acos(0.95)/pi, a fifth
-# of the circle; the Blaschke product has E = the whole circle.
-PAIR_CASES = [("blaschke", 1e-9), ("arc", 0.05)]
-PAIR_SYMBOLS = {"blaschke": TrigSymbol.blaschke([0.5]), "arc": EQUALITY_SYMBOL}
+# of the circle; the Blaschke product has E = the whole circle.  On the torus,
+# |f| = |cos(pi (x1 + 2 x2))|, and E at e_tol 0.5 is the band where
+# x1 + 2 x2 lies within 1/3 of an integer, 11/16 of the 16 x 16 grid.
+PAIR_SYMBOLS = {
+    "blaschke": TrigSymbol.blaschke([0.5]),
+    "arc": EQUALITY_SYMBOL,
+    "band": TrigSymbol.trig_polynomial(2, {(0, 0): 0.5, (1, 2): 0.5}),
+}
+PAIR_CASES = [
+    pytest.param("blaschke", (1,), 256, 1e-9, id="blaschke-1e-09"),
+    pytest.param("arc", (1,), 256, 0.05, id="arc-0.05"),
+    pytest.param("blaschke", (2,), 256, 1e-9, id="blaschke-nu2"),
+    pytest.param("arc", (2,), 256, 0.05, id="arc-nu2"),
+    pytest.param("band", (1, 1), (16, 16), 0.5, id="band-d2"),
+]
 
 
 def outer_kernel_modulus(vals, phase, r):
@@ -250,11 +262,11 @@ def outer_kernel_modulus(vals, phase, r):
     return np.abs(np.outer(e, np.conj(e)) - r * np.outer(vals, np.conj(vals)))
 
 
-def outer_masked_u(f, n, k, grid, e_tol):
+def outer_masked_u(f, nu, n, k, grid, e_tol):
     sampling = f.evaluate_on_grid(grid)
     E = unit_modulus_set(sampling, e_tol)
     assert 0 < E.measure <= 1
-    return masked_integrand(E, (1,), n, k), sampling.size
+    return masked_integrand(E, nu, n, k), sampling.size
 
 
 def fsum_complex(x):
@@ -268,24 +280,26 @@ def fsum_complex(x):
 PAIR_TOL = 2e-15
 
 
+# 700 and 5000 cells are no multiple of a grid side, so blocks of whole rows
+# leave part of a row's budget unused; 1 cell makes one-row blocks.
 @pytest.fixture(params=[1, 700, 5000, 2**18], ids=lambda c: f"block{c}")
 def small_blocks(request, monkeypatch):
     monkeypatch.setattr(bounds, "PAIR_BLOCK_CELLS", request.param)
 
 
-@pytest.mark.parametrize("name, e_tol", PAIR_CASES)
-def test_log_integral_blocks_match_outer_product(small_blocks, name, e_tol):
+@pytest.mark.parametrize("name, nu, grid, e_tol", PAIR_CASES)
+def test_log_integral_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol):
     f = PAIR_SYMBOLS[name]
-    sampling = f.evaluate_on_grid(256)
+    sampling = f.evaluate_on_grid(grid)
     vals = sampling.samples.ravel()
-    mods = outer_kernel_modulus(vals, grid_phase(sampling.resolution, (1,)).ravel(), 0.5)
+    mods = outer_kernel_modulus(vals, grid_phase(sampling.resolution, nu).ravel(), 0.5)
     abslog = np.abs(np.log(np.clip(mods, LOG_FLOOR, None)))
     mask = np.abs(np.abs(vals) - 1.0) <= e_tol
     assert name == "blaschke" or not mask.all()
-    rep = log_integral_bound_check(f, (1,), 0.5, 256, e_tol=e_tol)
-    assert rep.lhs == pytest.approx(math.fsum(abslog.ravel().tolist()) / 256**2, rel=0, abs=PAIR_TOL)
+    rep = log_integral_bound_check(f, nu, 0.5, grid, e_tol=e_tol)
+    assert rep.lhs == pytest.approx(math.fsum(abslog.ravel().tolist()) / sampling.size**2, rel=0, abs=PAIR_TOL)
     assert rep.rhs == math.log(4.0 / (0.5 * abs(f.coefficient_at_zero()) ** 2))
-    restricted = math.fsum(abslog[np.outer(mask, mask)].tolist()) / 256**2
+    restricted = math.fsum(abslog[np.outer(mask, mask)].tolist()) / sampling.size**2
     assert rep.details == {
         "excluded_nodes": int(np.count_nonzero(mods < LOG_FLOOR)),
         "lhs_restricted_to_E": pytest.approx(restricted, rel=0, abs=PAIR_TOL),
@@ -293,39 +307,77 @@ def test_log_integral_blocks_match_outer_product(small_blocks, name, e_tol):
     }
 
 
-@pytest.mark.parametrize("name, e_tol", PAIR_CASES)
-def test_identity_blocks_match_outer_product(small_blocks, name, e_tol):
+@pytest.mark.parametrize("name, nu, grid, e_tol", PAIR_CASES)
+def test_identity_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol):
     f = PAIR_SYMBOLS[name]
     for n, k in ((1, 0), (3, -1), (-2, 2)):
-        (_, _, u), size = outer_masked_u(f, n, k, 256, e_tol)
+        (_, _, u), size = outer_masked_u(f, nu, n, k, grid, e_tol)
         integral = fsum_complex(np.outer(u, np.conj(u))) / size**2
-        rep = identity_check(f, (1,), n, k, 256, e_tol=e_tol)
+        # the terms at (x, y) and (y, x) are conjugate: the sum is real
+        assert abs(integral.imag) <= PAIR_TOL
+        rep = identity_check(f, nu, n, k, grid, e_tol=e_tol)
         assert rep.lhs == abs(compute_b_table(
-            f, unit_modulus_set(f.evaluate_on_grid(256), e_tol), (1,), (n, n), [k]
+            f, unit_modulus_set(f.evaluate_on_grid(grid), e_tol), nu, (n, n), [k]
         ).entry(n, k)) ** 2
         assert rep.rhs == pytest.approx(integral.real, rel=0, abs=PAIR_TOL)
-        assert rep.details == {
-            "two_sided": True,
-            "abs_difference": abs(rep.lhs - rep.rhs),
-            "double_integral_imag": pytest.approx(integral.imag, rel=0, abs=PAIR_TOL),
-        }
+        assert rep.details == {"two_sided": True, "abs_difference": abs(rep.lhs - rep.rhs)}
 
 
-@pytest.mark.parametrize("name, e_tol", PAIR_CASES)
-def test_abel_blocks_match_outer_product(small_blocks, monkeypatch, name, e_tol):
+@pytest.mark.parametrize("name, nu, grid, e_tol", PAIR_CASES)
+def test_abel_blocks_match_outer_product(small_blocks, monkeypatch, name, nu, grid, e_tol):
     f = PAIR_SYMBOLS[name]
-    (vals, phase, u), size = outer_masked_u(f, 1, 0, 256, e_tol)
+    (vals, phase, u), size = outer_masked_u(f, nu, 1, 0, grid, e_tol)
     weight = np.log(1.0 / np.clip(outer_kernel_modulus(vals, phase, 0.9), LOG_FLOOR, None))
     rhs = 2.0 * fsum_complex(np.outer(u, np.conj(u)) * weight).real / size**2
-    rep = abel_series_check(f, (1,), 1, 0, 0.9, 20, 256, e_tol=e_tol)
+    rep = abel_series_check(f, nu, 1, 0, 0.9, 20, grid, e_tol=e_tol)
     monkeypatch.undo()  # the series side does not depend on the block size
-    whole = abel_series_check(f, (1,), 1, 0, 0.9, 20, 256, e_tol=e_tol)
+    whole = abel_series_check(f, nu, 1, 0, 0.9, 20, grid, e_tol=e_tol)
     assert rep.lhs == whole.lhs
     assert rep.rhs == pytest.approx(rhs, rel=0, abs=PAIR_TOL)
     assert rep.details["abs_difference"] == abs(rep.lhs - rep.rhs)
     del rep.details["abs_difference"], whole.details["abs_difference"]
     assert rep.details == whole.details
     assert rep.passed == whole.passed
+
+
+# f = 2 with nu = 0: g = f e^{-2 pi i nu.x} = 2, so 1 - 0.25 |g|^2 and F vanish
+# exactly on every cell, in the squared form as in the whole outer product.
+ZERO_KERNEL_SYMBOL = TrigSymbol.trig_polynomial(1, {(0,): 2})
+
+
+def test_log_integral_zero_kernel_cells_excluded(small_blocks):
+    sampling = ZERO_KERNEL_SYMBOL.evaluate_on_grid(8)
+    mods = outer_kernel_modulus(sampling.samples.ravel(), grid_phase((8,), (0,)).ravel(), 0.25)
+    assert np.count_nonzero(mods == 0.0) == 64
+    whole = math.fsum(np.abs(np.log(np.clip(mods, LOG_FLOOR, None))).ravel().tolist()) / 64
+    rep = log_integral_bound_check(ZERO_KERNEL_SYMBOL, (0,), 0.25, 8, e_tol=0.5)
+    assert rep.details["excluded_nodes"] == 64
+    assert math.isfinite(rep.lhs)
+    assert rep.lhs == pytest.approx(whole, rel=1e-15, abs=0)
+    assert rep.details["lhs_restricted_to_E"] == 0.0  # E is empty
+
+
+def test_abel_zero_kernel_symbol_finite(small_blocks):
+    """|f| = 2 leaves E empty, and on E the kernel takes f/|f|, so
+    |F| >= 1 - r there: the pair sum is the empty one."""
+    rep = abel_series_check(ZERO_KERNEL_SYMBOL, (0,), 0, 0, 0.25, 10, 8, e_tol=0.5)
+    assert rep.details["degenerate"]
+    assert rep.rhs == 0.0 and rep.lhs == 0.0 and rep.passed
+
+
+@pytest.mark.parametrize("i0, i1", [(0, 3), (0, 1)])
+def test_kernel_floor_is_on_the_modulus(i0, i1):
+    """A cell is floored and counted exactly when |F| < LOG_FLOOR, also where
+    re^2 + im^2 underflows: |F| = 1e-200 keeps its log, |F| = 1e-310 and 0
+    are floored.  A cell right of the block's square counts twice."""
+    g = np.array([1.0, 1.0 + 1e-200j, 1.0 + 1e-310j])
+    mods = np.abs(1.0 - np.outer(g, np.conj(g)))
+    assert sorted(set(mods.ravel().tolist())) == [0.0, 1e-310, 1e-200]
+    logmod, excluded = bounds._log_kernel_modulus(g, 1.0, i0, i1)
+    assert logmod.tolist() == np.log(np.maximum(mods[i0:i1, i0:], LOG_FLOOR)).tolist()
+    below = mods[i0:i1, i0:] < LOG_FLOOR
+    assert excluded == np.count_nonzero(below) + np.count_nonzero(below[:, i1 - i0:])
+    assert excluded == (5 if i1 == 3 else 3)
 
 
 @pytest.mark.parametrize("f, N, n_trunc, grid, e_tol", [

@@ -258,6 +258,23 @@ def test_usage_errors(tmp_path, capsys):
         assert not (fresh / "table.csv").exists()
 
 
+def test_bad_check_grid_exits_before_table(tmp_path, capsys):
+    """A check grid that is no power of two or has the wrong number of axes
+    for the symbol is refused before table.csv is written."""
+    fresh = tmp_path / "fresh"
+    for i, (entry, message) in enumerate((
+        ({"id": "identity", "grid": -4}, "resolutions must be powers of two >= 2, got (-4,)"),
+        ({"id": "log_integral", "grid": 100}, "resolutions must be powers of two >= 2, got (100,)"),
+        ({"id": "identity", "grid": [256, 256]}, "resolution has 2 axes, symbol has 1"),
+        ({"id": "szego", "grid": [4096, 4096]}, "resolution has 2 axes, symbol has 1"),
+    )):
+        cfg = write_config(tmp_path, small_preset(checks=[entry]), f"g{i}.json")
+        assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: check {entry['id']!r}: {message}\n"), err
+        assert not (fresh / "table.csv").exists()
+
+
 @pytest.mark.parametrize("owner, cap, args", [
     ("symbols", "MAX_GRID_CELLS", ["check", "--preset", "blaschke-half"]),
     ("coeffs", "MAX_TABLE_ENTRIES", ["table", "--preset", "blaschke-half"]),
