@@ -5,12 +5,11 @@ __version__ = "0.1.0"
 
 from .coeffs import DiagonalTable, brute_force_b, compute_b_table
 from .iterlog import IteratedLogParams, a_of_lq, big_l, find_constants, log_iter
-from .lattice import HalfSpace, product_halfspace
+from .lattice import HalfSpace
 from .symbols import (
     GridSampling,
     TrigSymbol,
     UnitModulusSet,
-    fourier_coefficient,
     sup_norm,
     unit_modulus_set,
 )
@@ -27,9 +26,7 @@ __all__ = [
     "brute_force_b",
     "compute_b_table",
     "find_constants",
-    "fourier_coefficient",
     "log_iter",
-    "product_halfspace",
     "sup_norm",
     "unit_modulus_set",
 ]

@@ -23,7 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .accum import csum
-from .coeffs import DiagonalTable, compute_b_table, masked_integrand, required_resolution
+from .coeffs import (
+    DiagonalTable,
+    compute_b_table,
+    masked_integrand,
+    required_resolution,
+    smallest_pow2_grid,
+)
 from .iterlog import IteratedLogParams, big_l, find_constants, log_iter
 from .lattice import HalfSpace
 from .symbols import SymbolError, TrigSymbol, grid_phase, unit_modulus_set
@@ -39,8 +45,9 @@ LOG_FLOOR = 1e-300
 # from the log|f| quadrature and counted.
 ZERO_NODE_FLOOR = 1e-12
 MAX_DOUBLE_GRID_POINTS = 2048
-# Cells of one triangle block of a pair grid: 512 KiB per real array, where
-# the whole pair grid of a MAX_DOUBLE_GRID_POINTS-cell check takes 32 MiB.
+# Cells of one triangle block of a pair grid: 512 KiB per real array.  The
+# block size bounds a double-grid check's memory, whatever its grid;
+# MAX_DOUBLE_GRID_POINTS bounds its time, which grows with the square.
 # The allocator reuses arrays of this size from block to block; arrays of
 # 2^18 cells went back to the system after each block and were faulted in
 # again, which made a 2048-cell log_integral 2.5 times as slow on a 2-core
@@ -201,14 +208,6 @@ def mean_bound_iv_rhs(q: int, p: int, C: float, params: IteratedLogParams) -> fl
     if denom <= 0:
         raise HypothesisViolation(f"p={p} too small for log_{q+1} positivity")
     return (C / (1.0 - params.alpha)) / denom
-
-
-def closed_form_rhs_q1(p: int, C: float) -> float:
-    """q = 1 right-hand side in its explicit shape with gamma = 3,
-    alpha = 1/log 3."""
-    return (C / (1.0 - 1.0 / math.log(3.0))) / (
-        math.log(p + 3.0) * (math.log(math.log(p + 4.0)) - math.log(math.log(4.0)))
-    )
 
 
 def check_mean_bound_iv(
@@ -495,9 +494,7 @@ def abel_series_check(
     E = unit_modulus_set(sampling, e_tol)
     res = sampling.resolution
     need = required_resolution(nu, abs(N) + n_trunc, abs(k))
-    table_res = tuple(
-        max(g, 2 ** math.ceil(math.log2(max(r_i, 2)))) for g, r_i in zip(res, need)
-    )
+    table_res = tuple(max(g, p) for g, p in zip(res, smallest_pow2_grid(need)))
     E_table = unit_modulus_set(f.evaluate_on_grid(table_res), e_tol)
     table = compute_b_table(f, E_table, nu, (N - n_trunc, N + n_trunc), [k])
     series_bound = math.log(16.0 / (r**2 * abs(f0) ** 4))
@@ -545,24 +542,7 @@ def abel_series_check(
     )
 
 
-# -- elementary summation/comparison lemmas ------------------------------------
-
-
-def harmonic_block_bound(M: int, p: int) -> float:
-    """Harmonic number H_p, checked against the double-sided sums
-    sum_{N != m} 1/|m-N| >= H_p >= log(p+1) for every m in [M, M+p]."""
-    if p < 1:
-        raise HypothesisViolation("p must be >= 1")
-    inv = 1.0 / np.arange(1, p + 1)
-    cum = np.concatenate(([0.0], np.cumsum(inv)))
-    h_p = csum(inv)
-    # m - M runs over 0..p; the double-sided sum is H_{m-M} + H_{M+p-m}
-    double_sided = cum + cum[::-1]
-    if double_sided.min() < h_p - 1e-12:
-        raise HypothesisViolation("double-sided harmonic comparison failed")
-    if h_p < math.log(p + 1):
-        raise HypothesisViolation("harmonic lower bound failed")
-    return h_p
+# -- the Cauchy mean-value lemma behind the constants (alpha_q, gamma_q) -------
 
 
 def cauchy_mvt_bound_check(
@@ -578,8 +558,6 @@ def cauchy_mvt_bound_check(
 
     if not 0 < alpha < 1:
         raise HypothesisViolation("alpha must lie in (0, 1)")
-    worst = math.inf
-    worst_x = None
     rows = []
     for x in x_samples:
         if x <= gamma:
@@ -594,17 +572,13 @@ def cauchy_mvt_bound_check(
         left = 1.0 / big_l(q, gamma) + integral
         right = x / ((1.0 - alpha) * big_l(q, x))
         rows.append({"x": x, "lhs": left, "rhs": right})
-        if right - left < worst:
-            worst = right - left
-            worst_x = x
-    passed = worst > 0.0
-    worst_row = next(row for row in rows if row["x"] == worst_x)
+    worst = min(rows, key=lambda row: row["rhs"] - row["lhs"])
     return BoundReport(
         check_id="cauchy_mvt",
         params={"q": q, "alpha": alpha, "gamma": gamma},
-        lhs=worst_row["lhs"],
-        rhs=worst_row["rhs"],
+        lhs=worst["lhs"],
+        rhs=worst["rhs"],
         tolerance=0.0,
-        passed=passed,
-        details={"samples": rows, "worst_x": worst_x},
+        passed=worst["rhs"] > worst["lhs"],
+        details={"samples": rows, "worst_x": worst["x"]},
     )

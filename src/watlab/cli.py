@@ -1,8 +1,9 @@
 """Command-line orchestration: reproducible table builds, bound checks,
 exploratory probes, and report emission.
 
-Exit codes: 0 all enabled checks pass, 2 a check failed, 64 invalid usage,
-config or grid (too coarse for a table, or too large for a double-grid check),
+Exit codes: 0 all enabled checks pass, 2 a check failed (for ``constants``,
+the Cauchy mean-value lemma), 64 invalid usage, config or grid (too coarse
+for a table, or too large for a double-grid check),
 65 a hypothesis of the verified inequalities is violated by the configured
 symbol (sup norm above 1, f-hat(0) = 0, spectrum not vanishing on the
 half-space, or nu outside the reflected half-space).
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -21,7 +23,9 @@ from . import __version__
 from .bounds import (
     BoundReport,
     HypothesisViolation,
+    _cap_double_grid,
     abel_series_check,
+    cauchy_mvt_bound_check,
     check_mean_bound_ii,
     check_mean_bound_iii,
     check_mean_bound_iv,
@@ -34,7 +38,7 @@ from .bounds import (
 from .coeffs import TableError, compute_b_table
 from .config import ConfigError, RunConfig, load_config
 from .explorer import decay_fit, tail_series
-from .iterlog import DomainError, find_constants, positivity_threshold
+from .iterlog import DomainError, find_constants, positivity_threshold, sample_ladder
 from .presets import PRESET_NAMES, preset_config
 from .symbols import GridSampling, SymbolError, check_resolution, sup_norm, unit_modulus_set
 
@@ -205,7 +209,10 @@ def _load_run_config(args) -> RunConfig:
                 raise ConfigError(f"check {check['id']!r}: malformed {name}: {value!r}")
         if "grid" in check:
             try:
-                check_resolution(check["grid"], cfg.symbol.dimension)
+                res = check_resolution(check["grid"], cfg.symbol.dimension)
+                # identity and abel are capped on |E|, known only once f is evaluated
+                if check["id"] == "log_integral":
+                    _cap_double_grid(math.prod(res))
             except SymbolError as exc:
                 raise ConfigError(f"check {check['id']!r}: {exc}") from exc
         if check["id"] in ("mean_iii", "mean_iv"):
@@ -266,6 +273,14 @@ def build_parser() -> _Parser:
 def _cmd_constants(args) -> int:
     _check_q(args.q)
     params = find_constants(args.q)
+    # the ladder without x = gamma, which the lemma rejects
+    xs = sample_ladder(params.gamma)[1:]
+    lemma = cauchy_mvt_bound_check(params.q, params.alpha, params.gamma, xs)
+    if not lemma.passed:
+        x = lemma.details["worst_x"]
+        print(f"error: q={params.q}: Cauchy mean-value lemma fails at x={x!r} "
+              f"(lhs {lemma.lhs!r}, rhs {lemma.rhs!r})", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     print(
         f"q={params.q}: alpha={params.alpha!r} gamma={params.gamma!r} "
         f"(log_{params.q + 1} positive above {positivity_threshold(params.q + 1)!r})"

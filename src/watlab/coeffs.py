@@ -81,10 +81,15 @@ def required_resolution(nu: Sequence[int], n_abs_max: int, k_abs_max: int) -> tu
     return tuple(2 * abs(int(v)) * (n_abs_max + k_abs_max) + 2 for v in nu)
 
 
+def smallest_pow2_grid(need: Sequence[int]) -> tuple[int, ...]:
+    """The smallest grid of power-of-two axes (the only kind a sampling
+    takes) with at least ``need`` points on each axis."""
+    return tuple(1 << (max(r, 2) - 1).bit_length() for r in need)
+
+
 def _too_coarse(res: tuple[int, ...], need: tuple[int, ...], what: str) -> ResolutionError:
-    """The error for a grid below ``need``, naming the smallest grid of
-    power-of-two axes (the only kind a sampling takes) that is not."""
-    fits = ",".join(str(1 << (r - 1).bit_length()) for r in need)
+    """The error for a grid below ``need``, naming the smallest usable grid."""
+    fits = ",".join(map(str, smallest_pow2_grid(need)))
     return ResolutionError(
         f"grid {res} cannot resolve {what}; required per-axis resolution: {need}; "
         f"smallest usable power-of-two grid: {fits}"

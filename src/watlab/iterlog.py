@@ -83,9 +83,14 @@ class IteratedLogParams:
             raise DomainError("gamma must be >= 1")
 
 
-def _verify_monotone_decrease(q: int, gamma: float, x_hi: float = 1e8) -> None:
-    samples = [gamma * (x_hi / gamma) ** (i / 40) for i in range(41)]
-    vals = [a_of_lq(q, x) for x in samples]
+def sample_ladder(gamma: float) -> list[float]:
+    """The 41 points gamma (10^8 / gamma)^(i/40), i = 0..40, on which the
+    constants (alpha_q, gamma_q) are checked."""
+    return [gamma * (1e8 / gamma) ** (i / 40) for i in range(41)]
+
+
+def _verify_monotone_decrease(q: int, gamma: float) -> None:
+    vals = [a_of_lq(q, x) for x in sample_ladder(gamma)]
     for lo, hi in zip(vals[1:], vals[:-1]):
         if lo >= hi:
             raise DomainError(f"a(x; L_{q}) failed to decrease at sampled points")

@@ -4,8 +4,7 @@ A half-space S satisfies: (i) 0 is not in S; (ii) for nonzero xi exactly one
 of xi, -xi lies in S; (iii) S is closed under addition.  We realize these
 axioms with a signed lexicographic order: a point belongs to S iff its first
 nonzero coordinate, scanned in ``axis_order`` with ``axis_sign`` applied, is
-positive.  Reflection flips all signs; the product construction concatenates
-two orders block-wise.
+positive.  Reflection flips all signs.
 """
 
 from __future__ import annotations
@@ -72,11 +71,3 @@ class HalfSpace:
             "axis_order": list(self.axis_order),
             "axis_sign": list(self.axis_sign),
         }
-
-
-def product_halfspace(s1: HalfSpace, s2: HalfSpace) -> HalfSpace:
-    """Half-space on Z^(d1+d2) containing S1 x Z^d2 and {0} x S2."""
-    d1 = s1.dimension
-    order = s1.axis_order + tuple(d1 + a for a in s2.axis_order)
-    sign = s1.axis_sign + s2.axis_sign
-    return HalfSpace(d1 + s2.dimension, order, sign)

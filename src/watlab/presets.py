@@ -18,65 +18,38 @@ _D1_CHECKS = [
     {"id": "abel", "N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512},
 ]
 
+
+def _d1(symbol: dict) -> dict:
+    """A d=1 run: S the negative half-line, nu = 1, n = 1..256, every check."""
+    return {
+        "schema": 1,
+        "symbol": symbol,
+        "halfspace": {"axis_order": [0], "axis_sign": [-1]},
+        "nu": [1],
+        "grid": [4096],
+        "n_min": 1,
+        "n_max": 256,
+        "k_window": 4,
+        "e_tol": 1e-9,
+        "checks": _D1_CHECKS,
+    }
+
+
 PRESETS: dict[str, dict] = {
-    "constant": {
-        "schema": 1,
-        "symbol": {"dimension": 1, "family": "constant", "params": {"value": [0.0, 1.0]}},
-        "halfspace": {"axis_order": [0], "axis_sign": [-1]},
-        "nu": [1],
-        "grid": [4096],
-        "n_min": 1,
-        "n_max": 256,
-        "k_window": 4,
-        "e_tol": 1e-9,
-        "checks": _D1_CHECKS,
-    },
-    "blaschke-half": {
-        "schema": 1,
-        "symbol": {"dimension": 1, "family": "blaschke", "params": {"zeros": [[0.5, 0.0]]}},
-        "halfspace": {"axis_order": [0], "axis_sign": [-1]},
-        "nu": [1],
-        "grid": [4096],
-        "n_min": 1,
-        "n_max": 256,
-        "k_window": 4,
-        "e_tol": 1e-9,
-        "checks": _D1_CHECKS,
-    },
-    "blaschke-two": {
-        "schema": 1,
-        "symbol": {
-            "dimension": 1,
-            "family": "blaschke",
-            "params": {"zeros": [[0.5, 0.0], [-0.3, 0.0]]},
-        },
-        "halfspace": {"axis_order": [0], "axis_sign": [-1]},
-        "nu": [1],
-        "grid": [4096],
-        "n_min": 1,
-        "n_max": 256,
-        "k_window": 4,
-        "e_tol": 1e-9,
-        "checks": _D1_CHECKS,
-    },
-    "szego-equality": {
-        "schema": 1,
-        "symbol": {
-            "dimension": 1,
-            "spectrum": [
-                {"index": [0], "re": 0.5, "im": 0.0},
-                {"index": [1], "re": 0.5, "im": 0.0},
-            ],
-        },
-        "halfspace": {"axis_order": [0], "axis_sign": [-1]},
-        "nu": [1],
-        "grid": [4096],
-        "n_min": 1,
-        "n_max": 256,
-        "k_window": 4,
-        "e_tol": 1e-9,
-        "checks": _D1_CHECKS,
-    },
+    "constant": _d1({"dimension": 1, "family": "constant", "params": {"value": [0.0, 1.0]}}),
+    "blaschke-half": _d1(
+        {"dimension": 1, "family": "blaschke", "params": {"zeros": [[0.5, 0.0]]}}
+    ),
+    "blaschke-two": _d1(
+        {"dimension": 1, "family": "blaschke", "params": {"zeros": [[0.5, 0.0], [-0.3, 0.0]]}}
+    ),
+    "szego-equality": _d1({
+        "dimension": 1,
+        "spectrum": [
+            {"index": [0], "re": 0.5, "im": 0.0},
+            {"index": [1], "re": 0.5, "im": 0.0},
+        ],
+    }),
     "torus2-degenerate": {
         "schema": 1,
         "symbol": {

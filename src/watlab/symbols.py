@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+# perfbench/tracing.py wraps symbols.csum by name; nothing here calls it.
 from .accum import csum
 from .lattice import HalfSpace, as_point
 
@@ -216,22 +217,6 @@ class TrigSymbol:
             "family": "constant",
             "params": {"value": [c.real, c.imag]},
         }
-
-
-def fourier_coefficient(sampling: GridSampling, xi: Sequence[int]) -> complex:
-    """Discrete approximation of the Fourier coefficient at lattice index xi.
-
-    Exact (to rounding) when the sampled function is a trig polynomial
-    resolved by the grid.
-    """
-    p = as_point(xi if isinstance(xi, (tuple, list, np.ndarray)) else (xi,))
-    if len(p) != len(sampling.resolution):
-        raise SymbolError("index dimension mismatch")
-    if any(abs(v) >= g / 2 for v, g in zip(p, sampling.resolution)):
-        raise ResolutionError(f"index {p} beyond Nyquist for grid {sampling.resolution}")
-    phase = grid_phase(sampling.resolution, p)
-    vals = sampling.samples * np.exp(-2j * np.pi * phase)
-    return csum(vals.ravel()) / sampling.size
 
 
 def sup_norm(sampling: GridSampling) -> float:

@@ -17,7 +17,6 @@ from watlab.bounds import (
     check_mean_bound_ii,
     check_mean_bound_iv,
     check_weighted_series,
-    closed_form_rhs_q1,
     identity_check,
     log_integral_bound_check,
     szego_check,
@@ -83,7 +82,7 @@ def test_criterion_2_block_means(big_table, big_c):
     report(2, "block means <= C/log(p+1) for p up to 10^4", ok)
 
 
-def test_criterion_3_iterated_log_bound(big_table, big_c):
+def test_criterion_3_iterated_log_bound(big_table, big_c, closed_form_rhs_q1):
     params = find_constants(1)
     ok = params.gamma == 3.0 and params.alpha == 1 / math.log(3.0)
     for p in (10, 100, 1000, 10000):

@@ -1,6 +1,13 @@
-"""The public API: every exported name resolves."""
+"""The public API: every exported name resolves, and every public function
+is reached by more than the tests."""
+
+import ast
+import re
+from pathlib import Path
 
 import watlab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_names_resolve():
@@ -11,3 +18,40 @@ def test_star_import():
     namespace = {}
     exec("from watlab import *", namespace)
     assert set(watlab.__all__) <= set(namespace)
+
+
+def _referenced_names(tree):
+    """Names a module uses: loaded or imported names, attributes, and string
+    constants (the benchmark tracer wraps functions by their names)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_public_functions_are_reached():
+    """Every public top-level function of the package is used by another
+    module of it, by the benchmark, or by a pyproject entry point; a function
+    only tests or the package exports reach belongs in the tests."""
+    src = ROOT / "src" / "watlab"
+    public, used = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                public[node.name] = path.name
+        if path.name != "__init__.py":
+            used.update(_referenced_names(tree))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used.update(_referenced_names(ast.parse(path.read_text())))
+    entry_points = (ROOT / "pyproject.toml").read_text()
+    unreached = sorted(
+        f"{module}:{name}" for name, module in public.items()
+        if name not in used and not re.search(rf"\b{name}\b", entry_points)
+    )
+    assert unreached == []

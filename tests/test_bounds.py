@@ -14,8 +14,6 @@ from watlab.bounds import (
     check_mean_bound_iii,
     check_mean_bound_iv,
     check_weighted_series,
-    closed_form_rhs_q1,
-    harmonic_block_bound,
     identity_check,
     log_integral_bound_check,
     log_modulus_integral,
@@ -90,7 +88,7 @@ def test_mean_iii(blaschke_half):
         check_mean_bound_iii(tab, 1, 1.5, params.gamma, 1, 100, 0, C)
 
 
-def test_mean_iv_matches_closed_form(blaschke_half):
+def test_mean_iv_matches_closed_form(blaschke_half, closed_form_rhs_q1):
     tab = make_table(blaschke_half, (1,), (1, 128), 2, 1024)
     C = theorem_constant(0.5)
     for p in (10, 100):
@@ -400,20 +398,7 @@ def test_abel_series_side_matches_fsum(f, N, n_trunc, grid, e_tol):
     assert rep.details["max_partial_sum"] == pytest.approx(want, rel=1e-14, abs=0)
 
 
-# -- elementary lemmas ---------------------------------------------------------
-
-
-def test_harmonic_block_bound():
-    assert harmonic_block_bound(1, 1) == pytest.approx(1.0)
-    h10 = harmonic_block_bound(3, 10)
-    assert h10 == pytest.approx(2.9289682539682538)
-    assert h10 >= math.log(11)
-
-
-@pytest.mark.parametrize("p", [1, 10, 1000, 10**6])
-def test_harmonic_asymptotics(p):
-    h = harmonic_block_bound(1, p)
-    assert 0.0 <= h - math.log(p + 1) <= 1.0
+# -- the Cauchy mean-value lemma -----------------------------------------------
 
 
 def test_cauchy_mvt_q1():

@@ -11,6 +11,7 @@ import pytest
 
 import watlab
 from watlab import cli
+from watlab.bounds import BoundReport
 from watlab.presets import PRESET_NAMES, preset_config
 
 
@@ -128,10 +129,43 @@ def test_szego_subcommand(tmp_path, capsys):
     assert doc["pass"]
 
 
-def test_constants_subcommand(capsys):
-    assert run(["constants", "1"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "gamma=3.0" in out
+CONSTANTS_OUT = {
+    1: "q=1: alpha=0.9102392266268373 gamma=3.0 (log_2 positive above 2.718281828459045)\n",
+    2: "q=2: alpha=0.7143512698186916 gamma=16.0 (log_3 positive above 15.154262241479262)\n",
+    3: "q=3: alpha=0.1562517105070986 gamma=3814280.0 "
+       "(log_4 positive above 3814279.104760214)\n",
+}
+
+
+def test_constants_subcommand(capsys, monkeypatch):
+    """constants prints the pair once the Cauchy lemma holds on its ladder,
+    and exits 2 naming the worst point when it does not."""
+    for q, want in CONSTANTS_OUT.items():
+        assert run(["constants", str(q)]) == cli.EXIT_OK
+        assert capsys.readouterr() == (want, "")
+    seen = []
+
+    def failing(q, alpha, gamma, xs):
+        seen.append((gamma, xs))
+        return BoundReport("cauchy_mvt", {}, 2.0, 1.0, 0.0, False, {"worst_x": xs[0]})
+
+    monkeypatch.setattr(cli, "cauchy_mvt_bound_check", failing)
+    assert run(["constants", "1"]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: q=1: Cauchy mean-value lemma fails at x={seen[0][1][0]!r} ")
+    gamma, xs = seen[0]
+    assert len(xs) == 40 and gamma < xs[0] and xs[-1] == pytest.approx(1e8, rel=1e-12)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_check_preset_end_to_end(tmp_path, capsys, preset):
+    """Every preset runs its full check suite and passes it."""
+    out = tmp_path / "out"
+    assert run(["check", "--preset", preset, "--out", str(out)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    n = len((out / "reports.jsonl").read_text().splitlines())
+    assert n > 0 and lines[-1] == f"{n}/{n} checks passed"
 
 
 def test_preset_flag(tmp_path):
@@ -259,14 +293,17 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_bad_check_grid_exits_before_table(tmp_path, capsys):
-    """A check grid that is no power of two or has the wrong number of axes
-    for the symbol is refused before table.csv is written."""
+    """A check grid that is no power of two, has the wrong number of axes
+    for the symbol, or is too large for log_integral is refused before
+    table.csv is written."""
     fresh = tmp_path / "fresh"
     for i, (entry, message) in enumerate((
         ({"id": "identity", "grid": -4}, "resolutions must be powers of two >= 2, got (-4,)"),
         ({"id": "log_integral", "grid": 100}, "resolutions must be powers of two >= 2, got (100,)"),
         ({"id": "identity", "grid": [256, 256]}, "resolution has 2 axes, symbol has 1"),
         ({"id": "szego", "grid": [4096, 4096]}, "resolution has 2 axes, symbol has 1"),
+        ({"id": "log_integral", "grid": 4096},
+         "double-grid check needs <= 2048 cells, got 4096"),
     )):
         cfg = write_config(tmp_path, small_preset(checks=[entry]), f"g{i}.json")
         assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from watlab.lattice import HalfSpace, LatticeError, product_halfspace
+from watlab.lattice import HalfSpace, LatticeError
 
 
 def window(dim, w):
@@ -62,28 +62,6 @@ def test_reflect():
     back = hs.reflect().reflect()
     for p in window(2, 4):
         assert hs.contains(p) == back.contains(p)
-
-
-def test_product_examples():
-    pos1 = HalfSpace.standard(1)
-    prod = product_halfspace(pos1, pos1)
-    assert prod.contains((1, -7))
-    assert prod.contains((0, 2))
-    assert not prod.contains((0, 0))
-
-
-def test_product_contains_both_factors():
-    s1 = HalfSpace(2, (1, 0), (1, -1))
-    s2 = HalfSpace.negative(1)
-    prod = product_halfspace(s1, s2)
-    check_axioms(prod, 3, 2)
-    for p in window(2, 3):
-        if s1.contains(p):
-            for z in range(-3, 4):
-                assert prod.contains(p + (z,))
-    for z in range(-3, 4):
-        if z and s2.contains((z,)):
-            assert prod.contains((0, 0, z))
 
 
 perm2 = st.permutations(range(2))
