@@ -36,7 +36,7 @@ from .bounds import (
     theorem_constant,
 )
 from .coeffs import TableError, compute_b_table
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, is_int, is_real, load_config
 from .explorer import decay_fit, tail_series
 from .iterlog import DomainError, find_constants, positivity_threshold, sample_ladder
 from .presets import PRESET_NAMES, preset_config
@@ -180,7 +180,9 @@ def _load_run_config(args) -> RunConfig:
     ):
         value = getattr(args, flag, None)
         if value is not None:
-            doc[field] = value.split(",") if flag == "grid" else value
+            if flag == "grid":  # decimal fields become ints; the config refuses the rest
+                value = [int(v) if v.isdecimal() else v for v in value.split(",")]
+            doc[field] = value
     cfg = RunConfig.from_dict(doc)
     k = getattr(args, "k", 0)
     if abs(k) > cfg.k_window:
@@ -210,7 +212,7 @@ def _load_run_config(args) -> RunConfig:
         if "grid" in check:
             try:
                 res = check_resolution(check["grid"], cfg.symbol.dimension)
-                # identity and abel are capped on |E|, known only once f is evaluated
+                # abel is capped on |E|, known only once f is evaluated
                 if check["id"] == "log_integral":
                     _cap_double_grid(math.prod(res))
             except SymbolError as exc:
@@ -220,24 +222,19 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _is_int(v) -> bool:
-    """An integer numpy can hold: a larger one overflows in index arithmetic."""
-    return isinstance(v, int) and not isinstance(v, bool) and -2**63 < v < 2**63
-
-
 # Whether one value of a check parameter is well formed (for a list-valued
 # parameter, one element of its list).
 _PARAM_OK = {
-    **dict.fromkeys(("N", "k", "n", "p", "M", "q", "n_trunc"), _is_int),
-    "r": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "grid": lambda v: _is_int(v) or (isinstance(v, list) and bool(v) and all(map(_is_int, v))),
+    **dict.fromkeys(("N", "k", "n", "p", "M", "q", "n_trunc"), is_int),
+    "r": is_real,
+    "grid": lambda v: is_int(v) or (isinstance(v, list) and bool(v) and all(map(is_int, v))),
 }
 
 
 def _check_q(q) -> None:
     """Refuse a q that has no iterated-log constants: not an integer, below
     1, or with log_{q+1} positive only beyond the float range."""
-    if not isinstance(q, int) or q < 1:
+    if not is_int(q) or q < 1:
         raise ConfigError(f"q must be an integer >= 1, got {q!r}")
     try:
         positivity_threshold(q + 1)

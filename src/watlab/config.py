@@ -24,27 +24,36 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _convert(name: str, convert, value):
-    """``convert(value)``, with a malformed value reported as a ConfigError."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed {name}: {value!r}") from exc
+def is_int(v) -> bool:
+    """The config's one integer rule: a JSON integer, not a bool, float or
+    string, that numpy can hold (a larger one overflows in index arithmetic)."""
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 < v < 2**63
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def is_real(v) -> bool:
+    """A JSON number that is not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int_list(v) -> bool:
+    return isinstance(v, list) and all(map(is_int, v))
+
+
+def _checked(name: str, ok, value):
+    """``value``, refused as a ConfigError unless ``ok(value)``."""
+    _require(ok(value), f"malformed {name}: {value!r}")
+    return value
 
 
 def parse_symbol(doc: dict) -> TrigSymbol:
     _require(isinstance(doc, dict), "symbol must be an object")
     dim = doc.get("dimension", 1)
-    _require(isinstance(dim, int) and dim >= 1, "symbol.dimension must be a positive integer")
+    _require(is_int(dim) and dim >= 1, "symbol.dimension must be a positive integer")
     try:
         if "spectrum" in doc:
             coeffs = {}
             for item in doc["spectrum"]:
-                idx = tuple(int(v) for v in item["index"])
+                idx = tuple(_checked("symbol.spectrum.index", _int_list, item["index"]))
                 coeffs[idx] = complex(item.get("re", 0.0), item.get("im", 0.0))
             return TrigSymbol.trig_polynomial(dim, coeffs)
         family = doc.get("family")
@@ -56,7 +65,7 @@ def parse_symbol(doc: dict) -> TrigSymbol:
             v = params["value"]
             return TrigSymbol.constant(complex(v[0], v[1]), dimension=dim)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SymbolError):
+        if isinstance(exc, (SymbolError, ConfigError)):
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"malformed symbol spec: {exc}") from exc
     raise ConfigError("symbol needs either a spectrum or a known family")
@@ -65,13 +74,12 @@ def parse_symbol(doc: dict) -> TrigSymbol:
 def parse_halfspace(doc: dict | None, dimension: int) -> HalfSpace:
     if doc is None:
         return HalfSpace.standard(dimension)
+    _require(isinstance(doc, dict), "halfspace must be an object")
+    order = _checked("halfspace.axis_order", _int_list, doc.get("axis_order", list(range(dimension))))
+    sign = _checked("halfspace.axis_sign", _int_list, doc.get("axis_sign", [1] * dimension))
     try:
-        return HalfSpace(
-            dimension=dimension,
-            axis_order=tuple(doc.get("axis_order", range(dimension))),
-            axis_sign=tuple(doc.get("axis_sign", (1,) * dimension)),
-        )
-    except (LatticeError, TypeError) as exc:
+        return HalfSpace(dimension=dimension, axis_order=tuple(order), axis_sign=tuple(sign))
+    except LatticeError as exc:
         raise ConfigError(f"malformed halfspace spec: {exc}") from exc
 
 
@@ -102,16 +110,16 @@ class RunConfig:
         symbol = parse_symbol(doc["symbol"])
         halfspace = parse_halfspace(doc.get("halfspace"), symbol.dimension)
         _require("nu" in doc, "config requires nu")
-        nu = _convert("nu", _int_tuple, doc["nu"])
+        nu = tuple(_checked("nu", _int_list, doc["nu"]))
         _require(len(nu) == symbol.dimension, "nu dimension mismatch")
-        grid = _convert("grid", _int_tuple, doc.get("grid", (4096,) * symbol.dimension))
+        grid = tuple(_checked("grid", _int_list, doc.get("grid", [4096] * symbol.dimension)))
         _require(len(grid) == symbol.dimension, "grid dimension mismatch")
-        n_min = _convert("n_min", int, doc.get("n_min", 1))
-        n_max = _convert("n_max", int, doc.get("n_max", 256))
+        n_min = _checked("n_min", is_int, doc.get("n_min", 1))
+        n_max = _checked("n_max", is_int, doc.get("n_max", 256))
         _require(n_min <= n_max, "n_min must be <= n_max")
-        k_window = _convert("k_window", int, doc.get("k_window", 4))
+        k_window = _checked("k_window", is_int, doc.get("k_window", 4))
         _require(k_window >= 0, "k_window must be >= 0")
-        e_tol = _convert("e_tol", float, doc.get("e_tol", DEFAULT_E_TOL))
+        e_tol = _checked("e_tol", is_real, doc.get("e_tol", DEFAULT_E_TOL))
         _require(0 < e_tol < 1, "e_tol must lie in (0, 1)")
         checks = doc.get("checks", [])
         _require(isinstance(checks, list), "checks must be a list")

@@ -157,15 +157,13 @@ class TrigSymbol:
     def min_resolution(self) -> tuple[int, ...]:
         return tuple(max(2, 2 * m + 2) for m in self.max_index())
 
-    def vanishes_on(self, halfspace: HalfSpace, tol: float = 0.0) -> bool:
+    def vanishes_on(self, halfspace: HalfSpace) -> bool:
         """True iff every Fourier coefficient supported in the half-space
-        has modulus at most tol."""
+        is zero."""
         if halfspace.dimension != self.dimension:
             raise SymbolError("half-space dimension mismatch")
         if self.spectrum is not None:
-            return all(
-                abs(c) <= tol for xi, c in self.spectrum if halfspace.contains(xi)
-            )
+            return all(c == 0 for xi, c in self.spectrum if halfspace.contains(xi))
         if self.family == "blaschke":
             # analytic on the disk: spectrum is {0, 1, 2, ...}.  A half-space
             # of Z is one of the two open rays, so it never holds 0.

@@ -156,6 +156,40 @@ def test_criterion_7_oracle_equivalence():
     report(7, "production table matches brute-force oracle to 1e-9", ok)
 
 
+def blaschke_half_exact(n, ms):
+    """[z^m] ((z + a)/(1 + az))^n, a = 1/2, for each m in ``ms`` (n >= 1):
+    sum_j C(n, j) C(n+m-j-1, m-j) a^{n-j} (-a)^{m-j}, 0 for m < 0.  Over
+    2^{n+m} the terms are integers, so the sum is exact and its quotient
+    correctly rounded."""
+    top = [math.comb(n, j) << 2 * j for j in range(n + 1)]
+    alt = [(-1) ** i * math.comb(n - 1 + i, i) for i in range(max(ms) + 1)]
+    return [
+        sum(top[j] * alt[m - j] for j in range(min(n, m) + 1)) / 2 ** (n + m) if m >= 0 else 0.0
+        for m in ms
+    ]
+
+
+def test_table_matches_exact_oracle_off_the_grid():
+    """A third oracle for criteria 1-3: unlike brute_force_b it does not
+    share the table's grid, so it sees grid-level error."""
+    f = TrigSymbol.blaschke([0.5])
+    E = unit_modulus_set(f.evaluate_on_grid(4096), 1e-9)
+    table = compute_b_table(f, E, (1,), (1, 200), 4)
+    exact = [blaschke_half_exact(n, [n - k for k in table.k_values]) for n in range(1, 201)]
+    assert np.abs(table.values - np.array(exact)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (2, -3), (16, 3), (40, 1), (2, 3)])
+def test_identity_matches_exact_oracle_beyond_pair_cap(n, k):
+    """On 2^16 cells, far past the pair-grid checks' 2048, both sides of
+    identity equal |b_{n,n-k}|^2 of the exact oracle; n - k < 0 gives 0."""
+    rep = identity_check(TrigSymbol.blaschke([0.5]), (1,), n, k, 2**16)
+    want = blaschke_half_exact(n, [n - k])[0] ** 2
+    assert rep.passed
+    assert abs(rep.lhs - want) <= 1e-13
+    assert abs(rep.rhs - want) <= 1e-13
+
+
 def test_criterion_8_trivial_and_degenerate_gates(tmp_path):
     f = TrigSymbol.constant(1j)
     E = unit_modulus_set(f.evaluate_on_grid(64), 1e-9)

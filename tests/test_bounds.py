@@ -307,6 +307,8 @@ def test_log_integral_blocks_match_outer_product(small_blocks, name, nu, grid, e
 
 @pytest.mark.parametrize("name, nu, grid, e_tol", PAIR_CASES)
 def test_identity_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol):
+    # identity sums its integrand once and walks no blocks: under every
+    # block size it must equal the exactly rounded sum of the outer product.
     f = PAIR_SYMBOLS[name]
     for n, k in ((1, 0), (3, -1), (-2, 2)):
         (_, _, u), size = outer_masked_u(f, nu, n, k, grid, e_tol)

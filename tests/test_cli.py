@@ -39,6 +39,15 @@ def run(args):
     return cli.main(args)
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for a
+    fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_check_small_config_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, small_preset())
     code = run(["check", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -223,7 +232,6 @@ def test_usage_errors(tmp_path, capsys):
     for entry in (
         {"id": "abel", "grid": 4096},
         {"id": "log_integral", "grid": 4096},
-        {"id": "identity", "grid": 4096},
         {"id": "identity", "grid": 100},
     ):
         cfg = write_config(tmp_path, small_preset(checks=[entry]), "grid.json")
@@ -290,6 +298,68 @@ def test_usage_errors(tmp_path, capsys):
         assert run(argv) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: unrecognized arguments")
         assert not (fresh / "table.csv").exists()
+
+
+def _spectrum_index(index):
+    doc = small_preset(symbol=preset_config("szego-equality")["symbol"])
+    doc["symbol"]["spectrum"][1]["index"] = index
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(small_preset(n_max=64.9), "malformed n_max: 64.9", id="n_max-float"),
+    pytest.param(small_preset(n_max="64"), "malformed n_max: '64'", id="n_max-str"),
+    pytest.param(small_preset(n_min=1.0), "malformed n_min: 1.0", id="n_min-float"),
+    pytest.param(small_preset(nu=[1.7]), "malformed nu: [1.7]", id="nu"),
+    pytest.param(small_preset(grid=[1024.5]), "malformed grid: [1024.5]", id="grid"),
+    pytest.param(small_preset(k_window=True), "malformed k_window: True", id="k_window"),
+    pytest.param(small_preset(e_tol="0.05"), "malformed e_tol: '0.05'", id="e_tol"),
+    pytest.param(_spectrum_index([0.5]), "malformed symbol.spectrum.index: [0.5]",
+                 id="index-float"),
+    pytest.param(_spectrum_index(["1"]), "malformed symbol.spectrum.index: ['1']",
+                 id="index-str"),
+    pytest.param(small_preset(halfspace={"axis_order": [0], "axis_sign": [-1.0]}),
+                 "malformed halfspace.axis_sign: [-1.0]", id="axis_sign"),
+    pytest.param(small_preset(halfspace={"axis_order": [0.0], "axis_sign": [-1]}),
+                 "malformed halfspace.axis_order: [0.0]", id="axis_order"),
+    pytest.param(small_preset(halfspace=1), "halfspace must be an object", id="halfspace"),
+    pytest.param(small_preset(symbol=dict(preset_config("szego-equality")["symbol"], dimension=True)),
+                 "symbol.dimension must be a positive integer", id="dimension"),
+])
+def test_config_numbers_follow_one_rule(tmp_path, capsys, doc, message):
+    """An integer field takes a JSON integer and e_tol a JSON number, as
+    check parameters do: a float, a string or a bool is refused, not
+    truncated (a spectrum index 0.5 would become 0 and change the symbol)."""
+    cfg = write_config(tmp_path, doc)
+    fresh = tmp_path / "fresh"
+    assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {message}\n")
+    assert not (fresh / "table.csv").exists()
+
+
+def test_identity_beyond_double_grid_cap(tmp_path, capsys):
+    """identity sums its integrand once, so E may exceed the 2048 cells
+    that bound the pair-grid checks."""
+    checks = [{"id": "identity", "n": list(range(1, 17)), "k": list(range(-3, 4)), "grid": 4096}]
+    cfg = write_config(tmp_path, small_preset(checks=checks))
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "112/112 checks passed"
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m watlab.cli`` exits with main's code."""
+    zero_mean = small_preset(symbol={"dimension": 1, "spectrum": [{"index": [1], "re": 1.0}]})
+    for args, code in (
+        (["constants", "1"], cli.EXIT_OK),
+        ([], cli.EXIT_USAGE),
+        (["table", "--config", write_config(tmp_path, zero_mean), "--out", str(tmp_path / "o")],
+         cli.EXIT_HYPOTHESIS),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "watlab.cli", *args],
+            env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
 
 
 def test_bad_check_grid_exits_before_table(tmp_path, capsys):
@@ -378,12 +448,9 @@ def test_scipy_integrate_loaded_only_by_quadrature_checks(tmp_path):
         {"id": "mean_ii", "p": [10], "k": [0]},
         {"id": "mean_iii", "q": 1, "p": [10], "k": [0]},
     ]))
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_SCRIPT, cfg, str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 
