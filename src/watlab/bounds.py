@@ -25,12 +25,13 @@ import numpy as np
 from .accum import csum
 from .coeffs import (
     DiagonalTable,
+    abs2,
     compute_b_table,
     masked_integrand,
     required_resolution,
     smallest_pow2_grid,
 )
-from .iterlog import IteratedLogParams, big_l, find_constants, log_iter
+from .iterlog import big_l, find_constants, log_iter
 from .lattice import HalfSpace
 from .symbols import SymbolError, TrigSymbol, grid_phase, unit_modulus_set
 
@@ -96,10 +97,17 @@ def theorem_constant(f0hat: complex) -> float:
     return math.log(16.0 / mod**4)
 
 
-def _abs2_column(table: DiagonalTable, k: int) -> np.ndarray:
-    if k not in table.k_values:
-        raise HypothesisViolation(f"k={k} outside table window {table.k_values}")
-    return table.abs2_column(k)
+def _f0(f: TrigSymbol) -> complex:
+    """f-hat(0), which the bounds below divide by."""
+    f0 = f.coefficient_at_zero()
+    if f0 == 0:
+        raise HypothesisViolation("f-hat(0) = 0")
+    return f0
+
+
+def _check_r(r: float) -> None:
+    if not 0 < r < 1:
+        raise HypothesisViolation("r must lie in (0, 1)")
 
 
 def check_weighted_series(
@@ -110,10 +118,9 @@ def check_weighted_series(
     Terms are nonnegative, so the truncated sum is a lower bound of the
     infinite series and must itself satisfy the bound.
     """
-    abs2 = _abs2_column(table, k)
     m = table.n_values
     keep = m != N
-    terms = abs2[keep] / np.abs(m[keep] - N)
+    terms = table.abs2_column(k)[keep] / np.abs(m[keep] - N)
     lhs = float(csum(terms))
     passed = lhs <= C + tol
     return BoundReport(
@@ -134,13 +141,7 @@ def check_weighted_series(
 def _block_sum(table: DiagonalTable, M: int, p: int, k: int) -> float:
     if M < 1 or p < 1:
         raise HypothesisViolation("mean bounds require M >= 1 and p >= 1")
-    if table.n_min > M or table.n_max < M + p:
-        raise HypothesisViolation(
-            f"table range [{table.n_min}, {table.n_max}] does not cover [M, M+p]"
-        )
-    abs2 = _abs2_column(table, k)
-    i0 = table.row_index(M)
-    return float(csum(abs2[i0 : i0 + p + 1]))
+    return table.block_sum(M, p, k)
 
 
 def check_mean_bound_ii(
@@ -162,24 +163,16 @@ def check_mean_bound_ii(
 
 
 def check_mean_bound_iii(
-    table: DiagonalTable,
-    q: int,
-    alpha: float,
-    gamma: float,
-    M: int,
-    p: int,
-    k: int,
-    C: float,
-    tol: float = DEFAULT_ENTRY_TOL,
+    table: DiagonalTable, q: int, M: int, p: int, k: int, C: float, tol: float = DEFAULT_ENTRY_TOL
 ) -> BoundReport:
-    """Weighted block bound with g = L_q:
+    """Weighted block bound with g = L_q and (alpha, gamma) = find_constants(q):
     (integral_1^{p+1} dt / (t g(t+gamma))) * sum <= C/(1-alpha) * (p+gamma)/g(p+gamma)."""
     # Imported here, not at module top: loading scipy.integrate takes about
     # 0.6 s and 50 MiB, and only this check and cauchy_mvt integrate.
     from scipy.integrate import quad
 
-    if not 0 < alpha < 1:
-        raise HypothesisViolation("alpha must lie in (0, 1)")
+    params = find_constants(q)
+    alpha, gamma = params.alpha, params.gamma
     s = _block_sum(table, M, p, k)
     integral, abserr = quad(
         lambda t: 1.0 / (t * big_l(q, t + gamma)),
@@ -201,42 +194,24 @@ def check_mean_bound_iii(
     )
 
 
-def mean_bound_iv_rhs(q: int, p: int, C: float, params: IteratedLogParams) -> float:
-    gamma = params.gamma
+def check_mean_bound_iv(
+    table: DiagonalTable, q: int, M: int, p: int, k: int, C: float, tol: float = DEFAULT_ENTRY_TOL
+) -> BoundReport:
+    """Block mean of |b|^2 against the iterated-log rate for L_q, with
+    (alpha, gamma) = find_constants(q)."""
+    params = find_constants(q)
+    alpha, gamma = params.alpha, params.gamma
+    s = _block_sum(table, M, p, k)
+    lhs = s / (p + gamma)
     denom = big_l(q, p + gamma) * (
         log_iter(q + 1, p + 1 + gamma) - log_iter(q + 1, 1 + gamma)
     )
     if denom <= 0:
         raise HypothesisViolation(f"p={p} too small for log_{q+1} positivity")
-    return (C / (1.0 - params.alpha)) / denom
-
-
-def check_mean_bound_iv(
-    table: DiagonalTable,
-    q: int,
-    M: int,
-    p: int,
-    k: int,
-    C: float,
-    params: IteratedLogParams | None = None,
-    tol: float = DEFAULT_ENTRY_TOL,
-) -> BoundReport:
-    """Block mean of |b|^2 against the iterated-log rate for L_q."""
-    if params is None:
-        params = find_constants(q)
-    s = _block_sum(table, M, p, k)
-    lhs = s / (p + params.gamma)
-    rhs = mean_bound_iv_rhs(q, p, C, params)
+    rhs = (C / (1.0 - alpha)) / denom
     return BoundReport(
         check_id="mean_iv",
-        params={
-            "q": q,
-            "alpha": params.alpha,
-            "gamma": params.gamma,
-            "M": M,
-            "p": p,
-            "k": k,
-        },
+        params={"q": q, "alpha": alpha, "gamma": gamma, "M": M, "p": p, "k": k},
         lhs=lhs,
         rhs=rhs,
         tolerance=tol,
@@ -288,10 +263,7 @@ def szego_check(
     symbol whose spectrum avoids the half-space."""
     if not f.vanishes_on(halfspace):
         raise HypothesisViolation("spectrum does not vanish on the half-space")
-    f0 = f.coefficient_at_zero()
-    if f0 == 0:
-        raise HypothesisViolation("f-hat(0) = 0")
-    lhs = math.log(abs(f0))
+    lhs = math.log(abs(_f0(f)))
     rhs, method, excluded = log_modulus_integral(f, resolution)
     return BoundReport(
         check_id="szego",
@@ -373,12 +345,8 @@ def log_integral_bound_check(
     """Double-grid quadrature of |log |F|| with
     F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)), against
     log(4 / (r |f-hat(0)|^2))."""
-    if not 0 < r < 1:
-        raise HypothesisViolation("r must lie in (0, 1)")
-    f0 = f.coefficient_at_zero()
-    if f0 == 0:
-        raise HypothesisViolation("f-hat(0) = 0")
-    nu = tuple(int(v) for v in nu)
+    _check_r(r)
+    f0 = _f0(f)
     sampling = f.evaluate_on_grid(resolution)
     total = sampling.size
     _cap_double_grid(total)
@@ -431,32 +399,25 @@ def identity_check(
     still a direct sum of the table's integrand on the same E, checked
     against the NUFFT entry.
     """
-    nu = tuple(int(v) for v in nu)
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
     table = compute_b_table(f, E, nu, (n, n), [k])
-    b = table.entry(n, k)
-    lhs = abs(b) ** 2
     if table.degenerate:
-        return BoundReport(
-            check_id="identity",
-            params={"n": n, "k": k},
-            lhs=0.0,
-            rhs=0.0,
-            tolerance=tol,
-            passed=True,
-            details={"degenerate": True, "two_sided": True},
-        )
-    rhs = abs(csum(masked_integrand(E, nu, n, k)[2])) ** 2 / sampling.size**2
-    diff = abs(lhs - rhs)
+        lhs = rhs = 0.0
+        passed, details = True, {"degenerate": True, "two_sided": True}
+    else:
+        lhs = abs2(table.entry(n, k))
+        rhs = abs2(csum(masked_integrand(E, nu, n, k)) / sampling.size)
+        diff = abs(lhs - rhs)
+        passed, details = diff <= tol, {"two_sided": True, "abs_difference": diff}
     return BoundReport(
         check_id="identity",
         params={"n": n, "k": k},
         lhs=lhs,
         rhs=rhs,
         tolerance=tol,
-        passed=diff <= tol,
-        details={"two_sided": True, "abs_difference": diff},
+        passed=passed,
+        details=details,
     )
 
 
@@ -479,12 +440,8 @@ def abel_series_check(
     f/|f| in place of f, as the table's integrand does, so the closed form
     holds on a tolerance-widened E too.
     """
-    if not 0 < r < 1:
-        raise HypothesisViolation("r must lie in (0, 1)")
-    f0 = f.coefficient_at_zero()
-    if f0 == 0:
-        raise HypothesisViolation("f-hat(0) = 0")
-    nu = tuple(int(v) for v in nu)
+    _check_r(r)
+    f0 = _f0(f)
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
     res = sampling.resolution
@@ -495,18 +452,18 @@ def abel_series_check(
     series_bound = math.log(16.0 / (r**2 * abs(f0) ** 4))
 
     # rows N - n_trunc .. N + n_trunc; n = 1..n_trunc pairs row N + n with N - n
-    abs2 = table.abs2_column(k)
+    col = table.abs2_column(k)
     n = np.arange(1, n_trunc + 1)
-    partials = np.cumsum((abs2[n_trunc + 1:] + abs2[:n_trunc][::-1]) * r**n / n)
+    partials = np.cumsum((col[n_trunc + 1:] + col[:n_trunc][::-1]) * r**n / n)
     lhs = float(partials[-1]) if partials.size else 0.0
     max_partial = float(partials.max(initial=0.0))
 
     if table.degenerate:
         rhs = 0.0
     else:
-        unit, phase, u = masked_integrand(E, nu, N, k)
+        u = masked_integrand(E, nu, N, k)
         _cap_double_grid(u.size)
-        g = unit * np.exp(-2j * np.pi * phase)
+        g = masked_integrand(E, nu, 1, 0)  # f/|f| e^{-2 pi i nu.x}, the integrand of b_{1,1}
         total = 0.0
         for i0, i1 in _triangle_blocks(u.size):
             pair = _pair_real(u, i0, i1)

@@ -3,7 +3,8 @@ exploratory probes, and report emission.
 
 Exit codes: 0 all enabled checks pass, 2 a check failed (for ``constants``,
 the Cauchy mean-value lemma), 64 invalid usage, config or grid (too coarse
-for a table, or too large for a double-grid check),
+for a table, or too large for a double-grid check), or a check that reads
+the table outside it (a k outside the window, a block [M, M+p] past n_max),
 65 a hypothesis of the verified inequalities is violated by the configured
 symbol (sup norm above 1, f-hat(0) = 0, spectrum not vanishing on the
 half-space, or nu outside the reflected half-space).
@@ -16,7 +17,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -101,8 +101,7 @@ CHECKS = {
         lambda cfg, t, C, c, p, k: check_mean_bound_ii(t, c.get("M", 1), p, k, C)),
     "mean_iii": (
         {"p": [10], "k": [0]}, ("q", "M"),
-        lambda cfg, t, C, c, p, k: check_mean_bound_iii(
-            t, *astuple(find_constants(c.get("q", 1))), c.get("M", 1), p, k, C)),
+        lambda cfg, t, C, c, p, k: check_mean_bound_iii(t, c.get("q", 1), c.get("M", 1), p, k, C)),
     "mean_iv": (
         {"p": [10], "k": "window"}, ("q", "M"),
         lambda cfg, t, C, c, p, k: check_mean_bound_iv(t, c.get("q", 1), c.get("M", 1), p, k, C)),
@@ -222,11 +221,13 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-# Whether one value of a check parameter is well formed (for a list-valued
-# parameter, one element of its list).
+# Whether one value of a check parameter is well formed and in range (for a
+# list-valued parameter, one element of its list).  q is checked by _check_q.
 _PARAM_OK = {
-    **dict.fromkeys(("N", "k", "n", "p", "M", "q", "n_trunc"), is_int),
-    "r": is_real,
+    **dict.fromkeys(("N", "k", "n", "q"), is_int),
+    **dict.fromkeys(("p", "M"), lambda v: is_int(v) and v >= 1),
+    "n_trunc": lambda v: is_int(v) and v >= 0,
+    "r": lambda v: is_real(v) and 0 < v < 1,
     "grid": lambda v: is_int(v) or (isinstance(v, list) and bool(v) and all(map(is_int, v))),
 }
 

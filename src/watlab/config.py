@@ -45,6 +45,13 @@ def _checked(name: str, ok, value):
     return value
 
 
+def _complex(name: str, pair) -> complex:
+    """A complex number given as [re, im], a list of two JSON numbers."""
+    ok = isinstance(pair, list) and len(pair) == 2 and all(map(is_real, pair))
+    _require(ok, f"malformed {name}: {pair!r}")
+    return complex(*pair)
+
+
 def parse_symbol(doc: dict) -> TrigSymbol:
     _require(isinstance(doc, dict), "symbol must be an object")
     dim = doc.get("dimension", 1)
@@ -54,16 +61,17 @@ def parse_symbol(doc: dict) -> TrigSymbol:
             coeffs = {}
             for item in doc["spectrum"]:
                 idx = tuple(_checked("symbol.spectrum.index", _int_list, item["index"]))
-                coeffs[idx] = complex(item.get("re", 0.0), item.get("im", 0.0))
+                re_im = [item.get("re", 0.0), item.get("im", 0.0)]
+                coeffs[idx] = _complex("symbol.spectrum [re, im]", re_im)
             return TrigSymbol.trig_polynomial(dim, coeffs)
         family = doc.get("family")
         params = doc.get("params", {})
         if family == "blaschke":
-            zeros = [complex(z[0], z[1]) for z in params["zeros"]]
+            zeros = [_complex("symbol.params.zeros", z) for z in params["zeros"]]
             return TrigSymbol.blaschke(zeros)
         if family == "constant":
-            v = params["value"]
-            return TrigSymbol.constant(complex(v[0], v[1]), dimension=dim)
+            value = _complex("symbol.params.value", params["value"])
+            return TrigSymbol.constant(value, dimension=dim)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (SymbolError, ConfigError)):
             raise ConfigError(str(exc)) from exc

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import csum
 from .coeffs import DiagonalTable
 from .iterlog import big_l, positivity_threshold
 
@@ -81,13 +80,11 @@ def tail_series(
 def decay_fit(table: DiagonalTable, k: int, M: int = 1) -> dict:
     """Least-squares slopes of log(block mean) against log p and against
     log L_2(p) over a dyadic ladder of block lengths."""
-    abs2 = table.abs2_column(k)
     p_values = []
     means = []
     p = 2
     while M + p <= table.n_max:
-        i0 = table.row_index(M)
-        means.append(csum(abs2[i0 : i0 + p + 1]) / (p + 1))
+        means.append(table.block_sum(M, p, k) / (p + 1))
         p_values.append(p)
         p *= 2
     if len(p_values) < 3:

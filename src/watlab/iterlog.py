@@ -28,46 +28,36 @@ def positivity_threshold(j: int) -> float:
     return t
 
 
+def _logs(j: int, x: float, what: str) -> list[float]:
+    """[log_1 x, ..., log_j x].  ``what``, formatted with j, names the
+    caller's function in the DomainError for an x at or below the threshold
+    of log_j."""
+    if x <= positivity_threshold(j):
+        raise DomainError(f"{what.format(j)} requires x > {positivity_threshold(j)!r}, got {x!r}")
+    logs = [math.log(float(x))]
+    for _ in range(j - 1):
+        logs.append(math.log(logs[-1]))
+    return logs
+
+
 def log_iter(j: int, x: float) -> float:
     """log composed j times."""
-    if x <= positivity_threshold(j):
-        raise DomainError(
-            f"log_{j} requires x > {positivity_threshold(j)!r}, got {x!r}"
-        )
-    v = float(x)
-    for _ in range(j):
-        v = math.log(v)
-    return v
+    return _logs(j, x, "log_{}")[-1]
 
 
 def big_l(q: int, x: float) -> float:
     """L_q(x) = product of log_j x for j = 1..q."""
-    if x <= positivity_threshold(q):
-        raise DomainError(
-            f"L_{q} requires x > {positivity_threshold(q)!r}, got {x!r}"
-        )
-    out = 1.0
-    v = float(x)
-    for _ in range(q):
-        v = math.log(v)
-        out *= v
-    return out
+    return math.prod(_logs(q, x, "L_{}"))
 
 
 def a_of_lq(q: int, x: float) -> float:
     """a(x; L_q) = x L_q'(x) / L_q(x) in closed form:
     (1/log x)(1 + sum_{j=2..q} 1/log_j x)."""
-    if x <= positivity_threshold(q):
-        raise DomainError(
-            f"a(x; L_{q}) requires x > {positivity_threshold(q)!r}, got {x!r}"
-        )
-    v = math.log(x)
+    logs = _logs(q, x, "a(x; L_{})")
     inner = 1.0
-    w = v
-    for _ in range(2, q + 1):
-        w = math.log(w)
+    for w in logs[1:]:
         inner += 1.0 / w
-    return inner / v
+    return inner / logs[0]
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_criterion_3_iterated_log_bound(big_table, big_c, closed_form_rhs_q1):
     ok = params.gamma == 3.0 and params.alpha == 1 / math.log(3.0)
     for p in (10, 100, 1000, 10000):
         for k in K_VALUES:
-            rep = check_mean_bound_iv(big_table, 1, 1, p, k, big_c, params=params)
+            rep = check_mean_bound_iv(big_table, 1, 1, p, k, big_c)
             ok = ok and rep.passed
             ok = ok and abs(rep.rhs - closed_form_rhs_q1(p, big_c)) <= 1e-12
     report(3, "iterated-log mean bound, q=1 rhs matches closed form", ok)

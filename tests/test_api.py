@@ -1,5 +1,5 @@
-"""The public API: every exported name resolves, and every public function
-is reached by more than the tests."""
+"""The public API: every exported name resolves, every public function is
+reached by more than the tests, and every import is used."""
 
 import ast
 import re
@@ -55,3 +55,29 @@ def test_public_functions_are_reached():
         if name not in used and not re.search(rf"\b{name}\b", entry_points)
     )
     assert unreached == []
+
+
+# Imported only so that perfbench/tracing.py can wrap them by name at these
+# sites.  When the tracer stops naming them, the imports go and so does this
+# allowlist: the test fails while either entry is used or gone.
+TRACER_HOOKS = {("coeffs.py", "csum_rows"), ("symbols.py", "csum")}
+
+
+def test_imports_are_used():
+    """Every name a module of the package imports is used in that module
+    (``__init__`` uses a name by listing it in ``__all__``)."""
+    unused = set()
+    for path in sorted((ROOT / "src" / "watlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used.update(watlab.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.add((path.name, name))
+    assert unused == TRACER_HOOKS

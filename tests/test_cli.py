@@ -284,6 +284,14 @@ def test_usage_errors(tmp_path, capsys):
         ({"id": "mean_ii", "M": 1.5}, "M"),
         ({"id": "mean_iv", "p": ["10"]}, "p"),
         ({"id": "log_integral", "r": ["0.5"]}, "r"),
+        # values out of range, refused before the table as the types are
+        ({"id": "log_integral", "r": [1.5]}, "r"),
+        ({"id": "log_integral", "r": [0]}, "r"),
+        ({"id": "abel", "r": float("nan")}, "r"),
+        ({"id": "abel", "r": float("inf")}, "r"),
+        ({"id": "mean_ii", "p": [0]}, "p"),
+        ({"id": "mean_iv", "M": 0}, "M"),
+        ({"id": "abel", "n_trunc": -1}, "n_trunc"),
     )):
         cfg = write_config(tmp_path, small_preset(checks=[entry]), f"m{i}.json")
         assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE
@@ -306,6 +314,16 @@ def _spectrum_index(index):
     return doc
 
 
+def _family(family, **params):
+    return small_preset(symbol={"dimension": 1, "family": family, "params": params})
+
+
+def _spectrum_re(re):
+    doc = small_preset(symbol=preset_config("szego-equality")["symbol"])
+    doc["symbol"]["spectrum"][1]["re"] = re
+    return doc
+
+
 @pytest.mark.parametrize("doc, message", [
     pytest.param(small_preset(n_max=64.9), "malformed n_max: 64.9", id="n_max-float"),
     pytest.param(small_preset(n_max="64"), "malformed n_max: '64'", id="n_max-str"),
@@ -325,6 +343,15 @@ def _spectrum_index(index):
     pytest.param(small_preset(halfspace=1), "halfspace must be an object", id="halfspace"),
     pytest.param(small_preset(symbol=dict(preset_config("szego-equality")["symbol"], dimension=True)),
                  "symbol.dimension must be a positive integer", id="dimension"),
+    # a complex number is a list of exactly two JSON numbers
+    pytest.param(_spectrum_re(True), "malformed symbol.spectrum [re, im]: [True, 0.0]",
+                 id="spectrum-re-bool"),
+    pytest.param(_family("constant", value=[True, False]),
+                 "malformed symbol.params.value: [True, False]", id="constant-bool"),
+    pytest.param(_family("blaschke", zeros=[[False, False]]),
+                 "malformed symbol.params.zeros: [False, False]", id="zero-bool"),
+    pytest.param(_family("blaschke", zeros=[[0.5, 0, 7]]),
+                 "malformed symbol.params.zeros: [0.5, 0, 7]", id="zero-three"),
 ])
 def test_config_numbers_follow_one_rule(tmp_path, capsys, doc, message):
     """An integer field takes a JSON integer and e_tol a JSON number, as
@@ -335,6 +362,19 @@ def test_config_numbers_follow_one_rule(tmp_path, capsys, doc, message):
     assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {message}\n")
     assert not (fresh / "table.csv").exists()
+
+
+def test_check_reading_outside_the_table_is_a_config_error(tmp_path, capsys):
+    """A check that reads the table outside it exits 64, as a config error:
+    a k outside the window, or a block [M, M+p] past n_max."""
+    for entry, message in (
+        ({"id": "weighted_series", "N": [0], "k": [5]}, "error: k=5 outside table window"),
+        ({"id": "mean_ii", "M": 30, "p": [10], "k": [0]},
+         "error: n=40 outside table range [1, 32]"),
+    ):
+        cfg = write_config(tmp_path, small_preset(checks=[entry]))
+        assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(message)
 
 
 def test_identity_beyond_double_grid_cap(tmp_path, capsys):

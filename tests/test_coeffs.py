@@ -216,9 +216,35 @@ def test_csv_roundtrip_bytes(tmp_path, blaschke_half):
     assert "# engine: nufft-es oversampling=2 half_width=8" in header
 
 
+def test_csv_abs2_is_the_checks_abs2(tmp_path):
+    """table.csv's abs2 column is, bit for bit, the |b|^2 that the checks
+    sum (DiagonalTable.abs2_column), and re, im are the table's values."""
+    tab = make_table(TrigSymbol.blaschke([0.5, -0.3]), (1,), (1, 256), 4, 4096)
+    tab.write_csv(tmp_path / "t.csv")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[lines.index("n,k,re,im,abs2") + 1:]]
+    for j, k in enumerate(tab.k_values):
+        col = [row for row in rows if int(row[1]) == k]
+        assert [int(row[0]) for row in col] == tab.n_values.tolist()
+        assert [complex(float(row[2]), float(row[3])) for row in col] == tab.values[:, j].tolist()
+        assert [float(row[4]) for row in col] == tab.abs2_column(k).tolist()
+
+
+def test_block_sum(blaschke_half):
+    tab = make_table(blaschke_half, (1,), (1, 64), 2, 1024)
+    for M, p, k in ((1, 10, 0), (5, 59, -2), (64, 0, 1)):
+        terms = [abs(tab.entry(n, k)) ** 2 for n in range(M, M + p + 1)]
+        assert tab.block_sum(M, p, k) == pytest.approx(math.fsum(terms), rel=1e-14)
+
+
 def test_table_index_errors(blaschke_half):
     tab = make_table(blaschke_half, (1,), (1, 8), 2, 256)
     with pytest.raises(TableError):
         tab.entry(9, 0)
     with pytest.raises(TableError):
         tab.entry(1, 5)
+    for bad in (lambda: tab.column(3), lambda: tab.abs2_column(-3),
+                lambda: tab.block_sum(1, 8, 0), lambda: tab.block_sum(0, 2, 0),
+                lambda: tab.block_sum(1, 2, 5)):
+        with pytest.raises(TableError):
+            bad()
