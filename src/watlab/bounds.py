@@ -4,7 +4,8 @@ Every verifier returns a self-contained BoundReport: identifiers,
 parameters, both sides of the inequality, the margin, and truncation or
 quadrature metadata.  Truncated series of nonnegative terms are reported as
 lower bounds of the infinite sum, so a truncated pass is necessary but not
-sufficient; the report labels this explicitly.
+sufficient; the report labels this explicitly.  A verifier takes only
+what a run config sets; its tolerance is a constant of this module.
 
 The double-grid checks (log-integral bound, Abel series) sum functions of
 a pair of cells that are symmetric in the pair, so they walk only the upper
@@ -23,17 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .accum import csum
-from .coeffs import (
-    DiagonalTable,
-    abs2,
-    compute_b_table,
-    masked_integrand,
-    required_resolution,
-    smallest_pow2_grid,
-)
-from .iterlog import big_l, find_constants, log_iter
+from .coeffs import DiagonalTable, abs2, compute_b_table, masked_integrand
+from .iterlog import big_l, find_constants, log_iter, sample_ladder
 from .lattice import HalfSpace
-from .symbols import SymbolError, TrigSymbol, grid_phase, unit_modulus_set
+from .symbols import DEFAULT_E_TOL, SymbolError, TrigSymbol, grid_phase, unit_modulus_set
 
 DEFAULT_ENTRY_TOL = 1e-9
 DEFAULT_SZEGO_TOL = 1e-6
@@ -110,9 +104,7 @@ def _check_r(r: float) -> None:
         raise HypothesisViolation("r must lie in (0, 1)")
 
 
-def check_weighted_series(
-    table: DiagonalTable, N: int, k: int, C: float, tol: float = DEFAULT_ENTRY_TOL
-) -> BoundReport:
+def check_weighted_series(table: DiagonalTable, N: int, k: int, C: float) -> BoundReport:
     """Truncated form of sum_{m != N} |b_{m,m-k}|^2 / |m - N| <= C.
 
     Terms are nonnegative, so the truncated sum is a lower bound of the
@@ -122,14 +114,13 @@ def check_weighted_series(
     keep = m != N
     terms = table.abs2_column(k)[keep] / np.abs(m[keep] - N)
     lhs = float(csum(terms))
-    passed = lhs <= C + tol
     return BoundReport(
         check_id="weighted_series",
         params={"N": N, "k": k},
         lhs=lhs,
         rhs=float(C),
-        tolerance=tol,
-        passed=passed,
+        tolerance=DEFAULT_ENTRY_TOL,
+        passed=lhs <= C + DEFAULT_ENTRY_TOL,
         details={
             "m_range": [table.n_min, table.n_max],
             "truncated_lower_bound": True,
@@ -144,9 +135,7 @@ def _block_sum(table: DiagonalTable, M: int, p: int, k: int) -> float:
     return table.block_sum(M, p, k)
 
 
-def check_mean_bound_ii(
-    table: DiagonalTable, M: int, p: int, k: int, C: float, tol: float = DEFAULT_ENTRY_TOL
-) -> BoundReport:
+def check_mean_bound_ii(table: DiagonalTable, M: int, p: int, k: int, C: float) -> BoundReport:
     """Block mean of |b|^2 against C / log(p+1)."""
     s = _block_sum(table, M, p, k)
     lhs = s / (p + 1)
@@ -156,14 +145,14 @@ def check_mean_bound_ii(
         params={"M": M, "p": p, "k": k},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tol,
-        passed=lhs <= rhs + tol,
+        tolerance=DEFAULT_ENTRY_TOL,
+        passed=lhs <= rhs + DEFAULT_ENTRY_TOL,
         details={"block_sum": s},
     )
 
 
 def check_mean_bound_iii(
-    table: DiagonalTable, q: int, M: int, p: int, k: int, C: float, tol: float = DEFAULT_ENTRY_TOL
+    table: DiagonalTable, q: int, M: int, p: int, k: int, C: float
 ) -> BoundReport:
     """Weighted block bound with g = L_q and (alpha, gamma) = find_constants(q):
     (integral_1^{p+1} dt / (t g(t+gamma))) * sum <= C/(1-alpha) * (p+gamma)/g(p+gamma)."""
@@ -188,14 +177,14 @@ def check_mean_bound_iii(
         params={"q": q, "alpha": alpha, "gamma": gamma, "M": M, "p": p, "k": k},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tol,
-        passed=lhs <= rhs + tol,
+        tolerance=DEFAULT_ENTRY_TOL,
+        passed=lhs <= rhs + DEFAULT_ENTRY_TOL,
         details={"block_sum": s, "integral": integral, "quad_abserr": abserr},
     )
 
 
 def check_mean_bound_iv(
-    table: DiagonalTable, q: int, M: int, p: int, k: int, C: float, tol: float = DEFAULT_ENTRY_TOL
+    table: DiagonalTable, q: int, M: int, p: int, k: int, C: float
 ) -> BoundReport:
     """Block mean of |b|^2 against the iterated-log rate for L_q, with
     (alpha, gamma) = find_constants(q)."""
@@ -214,8 +203,8 @@ def check_mean_bound_iv(
         params={"q": q, "alpha": alpha, "gamma": gamma, "M": M, "p": p, "k": k},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tol,
-        passed=lhs <= rhs + tol,
+        tolerance=DEFAULT_ENTRY_TOL,
+        passed=lhs <= rhs + DEFAULT_ENTRY_TOL,
         details={"block_sum": s},
     )
 
@@ -254,10 +243,7 @@ def log_modulus_integral(
 
 
 def szego_check(
-    f: TrigSymbol,
-    halfspace: HalfSpace,
-    resolution: Sequence[int] | int,
-    tol: float = DEFAULT_SZEGO_TOL,
+    f: TrigSymbol, halfspace: HalfSpace, resolution: Sequence[int] | int
 ) -> BoundReport:
     """Geometric-mean inequality: integral of log|f| >= log |f-hat(0)| for a
     symbol whose spectrum avoids the half-space."""
@@ -270,8 +256,8 @@ def szego_check(
         params={"resolution": resolution if isinstance(resolution, int) else list(resolution)},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tol,
-        passed=rhs >= lhs - tol,
+        tolerance=DEFAULT_SZEGO_TOL,
+        passed=rhs >= lhs - DEFAULT_SZEGO_TOL,
         details={"method": method, "excluded_nodes": excluded},
     )
 
@@ -339,8 +325,7 @@ def log_integral_bound_check(
     nu: Sequence[int],
     r: float,
     resolution: Sequence[int] | int,
-    e_tol: float = DEFAULT_ENTRY_TOL,
-    tol: float = DEFAULT_LOG_BOUND_TOL,
+    e_tol: float = DEFAULT_E_TOL,
 ) -> BoundReport:
     """Double-grid quadrature of |log |F|| with
     F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)), against
@@ -373,8 +358,8 @@ def log_integral_bound_check(
         params={"r": r, "resolution": resolution if isinstance(resolution, int) else list(resolution)},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tol,
-        passed=lhs <= rhs + tol,
+        tolerance=DEFAULT_LOG_BOUND_TOL,
+        passed=lhs <= rhs + DEFAULT_LOG_BOUND_TOL,
         details={
             "excluded_nodes": excluded,
             "lhs_restricted_to_E": lhs_restricted,
@@ -389,8 +374,7 @@ def identity_check(
     n: int,
     k: int,
     resolution: Sequence[int] | int,
-    e_tol: float = DEFAULT_ENTRY_TOL,
-    tol: float = DEFAULT_ENTRY_TOL,
+    e_tol: float = DEFAULT_E_TOL,
 ) -> BoundReport:
     """|b_{n,n-k}|^2 from the table against its double-integral form
     G^{-2} sum over E x E of u(x) conj(u(y)), u = masked_integrand.  The
@@ -409,13 +393,13 @@ def identity_check(
         lhs = abs2(table.entry(n, k))
         rhs = abs2(csum(masked_integrand(E, nu, n, k)) / sampling.size)
         diff = abs(lhs - rhs)
-        passed, details = diff <= tol, {"two_sided": True, "abs_difference": diff}
+        passed, details = diff <= DEFAULT_ENTRY_TOL, {"two_sided": True, "abs_difference": diff}
     return BoundReport(
         check_id="identity",
         params={"n": n, "k": k},
         lhs=lhs,
         rhs=rhs,
-        tolerance=tol,
+        tolerance=DEFAULT_ENTRY_TOL,
         passed=passed,
         details=details,
     )
@@ -429,26 +413,23 @@ def abel_series_check(
     r: float,
     n_trunc: int,
     resolution: Sequence[int] | int,
-    e_tol: float = DEFAULT_ENTRY_TOL,
+    e_tol: float = DEFAULT_E_TOL,
 ) -> BoundReport:
     """Truncated series sum_{n>=1} (|b_{n+N,.}|^2 + |b_{-n+N,.}|^2) r^n / n
     against its closed double-integral form with weight log(1/|F|), plus the
     partial-sum bound log(16 / (r^2 |f-hat(0)|^4)).
 
-    ``resolution`` sizes the double grid; the table side is computed on a
-    grid fine enough to resolve all truncated characters.  On E, F takes
-    f/|f| in place of f, as the table's integrand does, so the closed form
-    holds on a tolerance-widened E too.
+    The table rows N - n_trunc .. N + n_trunc and the double sum share one
+    E on the grid ``resolution``, so the two sides differ by the series tail
+    and rounding only.  A grid too coarse for the table's characters raises
+    its ResolutionError.  On E, F takes f/|f| in place of f, as the table's
+    integrand does, so the closed form holds on a tolerance-widened E too.
     """
     _check_r(r)
     f0 = _f0(f)
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
-    res = sampling.resolution
-    need = required_resolution(nu, abs(N) + n_trunc, abs(k))
-    table_res = tuple(max(g, p) for g, p in zip(res, smallest_pow2_grid(need)))
-    E_table = unit_modulus_set(f.evaluate_on_grid(table_res), e_tol)
-    table = compute_b_table(f, E_table, nu, (N - n_trunc, N + n_trunc), [k])
+    table = compute_b_table(f, E, nu, (N - n_trunc, N + n_trunc), [k])
     series_bound = math.log(16.0 / (r**2 * abs(f0) ** 4))
 
     # rows N - n_trunc .. N + n_trunc; n = 1..n_trunc pairs row N + n with N - n
@@ -497,22 +478,16 @@ def abel_series_check(
 # -- the Cauchy mean-value lemma behind the constants (alpha_q, gamma_q) -------
 
 
-def cauchy_mvt_bound_check(
-    q: int,
-    alpha: float,
-    gamma: float,
-    x_samples: Sequence[float],
-) -> BoundReport:
+def cauchy_mvt_bound_check(q: int) -> BoundReport:
     """1/g(gamma) + integral_0^{x-gamma} dt/g(t+gamma) < x / ((1-alpha) g(x))
-    for g = L_q, at each sampled x > gamma."""
+    for g = L_q and (alpha, gamma) = find_constants(q), at each x of
+    sample_ladder(gamma) above gamma."""
     from scipy.integrate import quad  # see check_mean_bound_iii
 
-    if not 0 < alpha < 1:
-        raise HypothesisViolation("alpha must lie in (0, 1)")
+    params = find_constants(q)
+    alpha, gamma = params.alpha, params.gamma
     rows = []
-    for x in x_samples:
-        if x <= gamma:
-            raise HypothesisViolation(f"sample x={x} must exceed gamma={gamma}")
+    for x in sample_ladder(gamma)[1:]:
         integral, _ = quad(
             lambda t: 1.0 / big_l(q, t + gamma),
             0.0,

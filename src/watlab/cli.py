@@ -38,7 +38,7 @@ from .bounds import (
 from .coeffs import TableError, compute_b_table
 from .config import ConfigError, RunConfig, is_int, is_real, load_config
 from .explorer import decay_fit, tail_series
-from .iterlog import DomainError, find_constants, positivity_threshold, sample_ladder
+from .iterlog import DomainError, find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
 from .symbols import GridSampling, SymbolError, check_resolution, sup_norm, unit_modulus_set
 
@@ -186,12 +186,16 @@ def _load_run_config(args) -> RunConfig:
     k = getattr(args, "k", 0)
     if abs(k) > cfg.k_window:
         raise ConfigError(f"--k {k} lies outside the k window -{cfg.k_window}..{cfg.k_window}")
+    ids = [c["id"] for c in cfg.checks]
     only = getattr(args, "checks", None)
-    asked = [c["id"] for c in cfg.checks] + (only.split(",") if only else [])
+    only = only.split(",") if only else []
     # a tuple, not the dict: a malformed id may be unhashable
-    unknown = [cid for cid in asked if cid not in tuple(CHECKS)]
+    unknown = [cid for cid in ids + only if cid not in tuple(CHECKS)]
     if unknown:
         raise ConfigError(f"unknown check ids {unknown}; available: {', '.join(CHECKS)}")
+    idle = [cid for cid in only if cid not in ids]
+    if idle:
+        raise ConfigError(f"--checks names {idle}, which the config does not run: {ids}")
     for check in cfg.checks:
         lists, singles, _ = CHECKS[check["id"]]
         extra = sorted(set(check) - {"id", *lists, *singles})
@@ -204,8 +208,10 @@ def _load_run_config(args) -> RunConfig:
             value = check[name]
             if name in lists and name == "k" and value == "window":
                 continue
-            if name in lists and not isinstance(value, list):
-                raise ConfigError(f"check {check['id']!r}: {name} must be a list, got {value!r}")
+            if name in lists and not (isinstance(value, list) and value):
+                raise ConfigError(
+                    f"check {check['id']!r}: {name} must be a non-empty list, got {value!r}"
+                )
             if not all(map(_PARAM_OK[name], value if name in lists else [value])):
                 raise ConfigError(f"check {check['id']!r}: malformed {name}: {value!r}")
         if "grid" in check:
@@ -271,9 +277,7 @@ def build_parser() -> _Parser:
 def _cmd_constants(args) -> int:
     _check_q(args.q)
     params = find_constants(args.q)
-    # the ladder without x = gamma, which the lemma rejects
-    xs = sample_ladder(params.gamma)[1:]
-    lemma = cauchy_mvt_bound_check(params.q, params.alpha, params.gamma, xs)
+    lemma = cauchy_mvt_bound_check(args.q)
     if not lemma.passed:
         x = lemma.details["worst_x"]
         print(f"error: q={params.q}: Cauchy mean-value lemma fails at x={x!r} "

@@ -44,11 +44,6 @@ class HalfSpace:
         """Natural order, all signs +1 (the lex-positive half-space)."""
         return cls(dimension, tuple(range(dimension)), (1,) * dimension)
 
-    @classmethod
-    def negative(cls, dimension: int) -> "HalfSpace":
-        """Natural order, all signs -1 (the lex-negative half-space)."""
-        return cls(dimension, tuple(range(dimension)), (-1,) * dimension)
-
     def contains(self, xi: Sequence[int]) -> bool:
         p = as_point(xi)
         if len(p) != self.dimension:

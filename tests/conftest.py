@@ -8,7 +8,7 @@ from watlab.symbols import TrigSymbol
 
 @pytest.fixture(scope="session")
 def neg_halfline():
-    return HalfSpace.negative(1)
+    return HalfSpace.standard(1).reflect()
 
 
 @pytest.fixture(scope="session")

@@ -34,25 +34,38 @@ def _referenced_names(tree):
             yield node.value
 
 
+def _public_defs(tree):
+    """Names of the public top-level functions of a module and of the public
+    methods of its public classes, the latter as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
 def test_public_functions_are_reached():
-    """Every public top-level function of the package is used by another
-    module of it, by the benchmark, or by a pyproject entry point; a function
-    only tests or the package exports reach belongs in the tests."""
+    """Every public top-level function and public method of the package is
+    used by a module of it, by the benchmark, or by a pyproject entry point;
+    one only tests or the package exports reach belongs in the tests.  A
+    method counts as used where its name is."""
     src = ROOT / "src" / "watlab"
     public, used = {}, set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                public[node.name] = path.name
+        for qualname in _public_defs(tree):
+            public[qualname] = path.name
         if path.name != "__init__.py":
             used.update(_referenced_names(tree))
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         used.update(_referenced_names(ast.parse(path.read_text())))
     entry_points = (ROOT / "pyproject.toml").read_text()
     unreached = sorted(
-        f"{module}:{name}" for name, module in public.items()
-        if name not in used and not re.search(rf"\b{name}\b", entry_points)
+        f"{module}:{qualname}" for qualname, module in public.items()
+        if (name := qualname.rpartition(".")[2]) not in used
+        and not re.search(rf"\b{name}\b", entry_points)
     )
     assert unreached == []
 

@@ -22,7 +22,7 @@ from watlab.bounds import (
 )
 from watlab.coeffs import TableError, abs2, compute_b_table, masked_integrand
 from watlab.iterlog import find_constants
-from watlab.symbols import TrigSymbol, grid_phase, sup_norm, unit_modulus_set
+from watlab.symbols import ResolutionError, TrigSymbol, grid_phase, sup_norm, unit_modulus_set
 
 EQUALITY_SYMBOL = TrigSymbol.trig_polynomial(1, {(0,): 0.5, (1,): 0.5})
 
@@ -232,6 +232,17 @@ def test_abel_r_rejected(blaschke_half):
         abel_series_check(blaschke_half, (1,), 0, 0, 1.0, 10, 128)
 
 
+def test_abel_table_shares_its_grid():
+    """The table and the closed form are sums over one E, so on the arc they
+    agree to far below the series tail (2.4e-6); a grid too coarse for the
+    table's rows 1 - 100 .. 1 + 100 is refused with the grid that works."""
+    rep = abel_series_check(EQUALITY_SYMBOL, (1,), 1, 0, 0.9, 100, 256, e_tol=0.05)
+    assert rep.passed
+    assert rep.details["abs_difference"] <= 1e-9
+    with pytest.raises(ResolutionError, match=r"smallest usable power-of-two grid: 256$"):
+        abel_series_check(EQUALITY_SYMBOL, (1,), 1, 0, 0.9, 100, 128, e_tol=0.05)
+
+
 # -- the pair grid walked in triangle blocks against the whole outer product --
 
 # |f| = |cos(pi x)|: E at e_tol 0.05 is the arc |x| <= acos(0.95)/pi, a fifth
@@ -329,12 +340,14 @@ def test_identity_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol
 @pytest.mark.parametrize("name, nu, grid, e_tol", PAIR_CASES)
 def test_abel_blocks_match_outer_product(small_blocks, monkeypatch, name, nu, grid, e_tol):
     f = PAIR_SYMBOLS[name]
+    # the table shares the check's grid: 16 x 16 resolves rows up to 1 + 6
+    n_trunc = 6 if name == "band" else 20
     (vals, phase, u), size = outer_masked_u(f, nu, 1, 0, grid, e_tol)
     weight = np.log(1.0 / np.clip(outer_kernel_modulus(vals, phase, 0.9), LOG_FLOOR, None))
     rhs = 2.0 * fsum_complex(np.outer(u, np.conj(u)) * weight).real / size**2
-    rep = abel_series_check(f, nu, 1, 0, 0.9, 20, grid, e_tol=e_tol)
+    rep = abel_series_check(f, nu, 1, 0, 0.9, n_trunc, grid, e_tol=e_tol)
     monkeypatch.undo()  # the series side does not depend on the block size
-    whole = abel_series_check(f, nu, 1, 0, 0.9, 20, grid, e_tol=e_tol)
+    whole = abel_series_check(f, nu, 1, 0, 0.9, n_trunc, grid, e_tol=e_tol)
     assert rep.lhs == whole.lhs
     assert rep.rhs == pytest.approx(rhs, rel=0, abs=PAIR_TOL)
     assert rep.details["abs_difference"] == abs(rep.lhs - rep.rhs)
@@ -406,21 +419,11 @@ def test_abel_series_side_matches_fsum(f, N, n_trunc, grid, e_tol):
 # -- the Cauchy mean-value lemma -----------------------------------------------
 
 
-def test_cauchy_mvt_q1():
-    params = find_constants(1)
-    rep = cauchy_mvt_bound_check(
-        1, params.alpha, params.gamma, [3.0001, 10.0, 1e4, 1e8]
-    )
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_cauchy_mvt(q):
+    """The lemma holds on the 40 points of the ladder above gamma_q."""
+    rep = cauchy_mvt_bound_check(q)
     assert rep.passed
-
-
-def test_cauchy_mvt_q2():
-    params = find_constants(2)
-    rep = cauchy_mvt_bound_check(2, params.alpha, params.gamma, [17.0, 1e3, 1e8])
-    assert rep.passed
-
-
-def test_cauchy_mvt_sample_below_gamma_rejected():
-    params = find_constants(1)
-    with pytest.raises(HypothesisViolation):
-        cauchy_mvt_bound_check(1, params.alpha, params.gamma, [2.0])
+    xs = [row["x"] for row in rep.details["samples"]]
+    assert len(xs) == 40 and min(xs) > find_constants(q).gamma
+    assert xs[-1] == pytest.approx(1e8, rel=1e-12)

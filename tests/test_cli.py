@@ -154,17 +154,16 @@ def test_constants_subcommand(capsys, monkeypatch):
         assert capsys.readouterr() == (want, "")
     seen = []
 
-    def failing(q, alpha, gamma, xs):
-        seen.append((gamma, xs))
-        return BoundReport("cauchy_mvt", {}, 2.0, 1.0, 0.0, False, {"worst_x": xs[0]})
+    def failing(q):
+        seen.append(q)
+        return BoundReport("cauchy_mvt", {}, 2.0, 1.0, 0.0, False, {"worst_x": 17.5})
 
     monkeypatch.setattr(cli, "cauchy_mvt_bound_check", failing)
-    assert run(["constants", "1"]) == cli.EXIT_CHECK_FAILED
+    assert run(["constants", "2"]) == cli.EXIT_CHECK_FAILED
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: q=1: Cauchy mean-value lemma fails at x={seen[0][1][0]!r} ")
-    gamma, xs = seen[0]
-    assert len(xs) == 40 and gamma < xs[0] and xs[-1] == pytest.approx(1e8, rel=1e-12)
+    assert err.startswith("error: q=2: Cauchy mean-value lemma fails at x=17.5 ")
+    assert seen == [2]
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -262,8 +261,15 @@ def test_usage_errors(tmp_path, capsys):
         {"id": "mean_iv", "q": 1.5},
         {"id": "mean_iii", "alpha": 3},  # not a parameter of mean_iii
         {"id": "mean_ii", "P": [10]},  # a typo for p
+        # an empty list would run no point of the check
+        {"id": "identity", "n": []},
+        {"id": "log_integral", "r": []},
+        {"id": "mean_ii", "p": []},
     )):
         sources.append(["--config", write_config(tmp_path, small_preset(checks=[entry]), f"c{i}.json")])
+    # --checks names a check the config does not run
+    sources.append(["--config", write_config(tmp_path, small_preset(), "idle.json"),
+                    "--checks", "abel"])
     # an E tolerance of 1 or more lets zeros of f into E, where f/|f| is undefined
     sources.append(["--config", write_config(tmp_path, small_preset(e_tol=1.0), "etol.json")])
     for source in sources:
@@ -463,6 +469,16 @@ def test_partial_e_checks_pass(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "12/12 checks passed"
 
 
+def test_coarse_abel_grid_exits_usage(tmp_path, capsys):
+    """abel's table shares its grid, which must resolve rows up to
+    |N| + n_trunc = 101: grid 128 is refused and grid 256 named."""
+    abel = {"id": "abel", "N": 1, "n_trunc": 100, "grid": 128}
+    cfg = write_config(tmp_path, dict(ARC_CONFIG, checks=[abel]))
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("smallest usable power-of-two grid: 256\n")
+
+
 # Run in a fresh interpreter: this one has imported scipy.integrate already.
 _IMPORT_PATH_SCRIPT = """
 import sys
@@ -615,10 +631,10 @@ def test_hypothesis_exit_sup_norm(tmp_path):
 def test_check_failure_exit(tmp_path, monkeypatch):
     import watlab.cli as cli_mod
 
-    def failing_check(table, N, k, C, tol=1e-9):
+    def failing_check(table, N, k, C):
         from watlab.bounds import BoundReport
 
-        return BoundReport("weighted_series", {"N": N, "k": k}, 2.0, 1.0, tol, False)
+        return BoundReport("weighted_series", {"N": N, "k": k}, 2.0, 1.0, 1e-9, False)
 
     monkeypatch.setattr(cli_mod, "check_weighted_series", failing_check)
     cfg = write_config(tmp_path, small_preset())

@@ -29,7 +29,7 @@ def check_axioms(hs, dim, w):
 )
 def test_axioms_on_windows(dim, w):
     check_axioms(HalfSpace.standard(dim), dim, w)
-    check_axioms(HalfSpace.negative(dim), dim, w)
+    check_axioms(HalfSpace.standard(dim).reflect(), dim, w)
 
 
 def test_contains_examples():

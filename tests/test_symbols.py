@@ -99,7 +99,7 @@ def test_vanishing_on_halfspace(neg_halfline, blaschke_half):
 
 
 def test_vanishing_torus2(torus2_degenerate):
-    assert torus2_degenerate.vanishes_on(HalfSpace.negative(2))
+    assert torus2_degenerate.vanishes_on(HalfSpace.standard(2).reflect())
     assert not torus2_degenerate.vanishes_on(HalfSpace.standard(2))
 
 
