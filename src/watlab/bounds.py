@@ -1,11 +1,13 @@
 """Verifiers for the decay inequalities and proof identities.
 
-Every verifier returns a self-contained BoundReport: identifiers,
+Every verifier returns self-contained BoundReports: identifiers,
 parameters, both sides of the inequality, the margin, and truncation or
 quadrature metadata.  Truncated series of nonnegative terms are reported as
 lower bounds of the infinite sum, so a truncated pass is necessary but not
 sufficient; the report labels this explicitly.  A verifier takes only
-what a run config sets; its tolerance is a constant of this module.
+what a run config sets; its tolerance is a constant of this module.  The
+grid checks that take a list (identity's n and k, log_integral's r) sample
+their grid and find E once per call and return one report per point.
 
 The double-grid checks (log-integral bound, Abel series) sum functions of
 a pair of cells that are symmetric in the pair, so they walk only the upper
@@ -323,14 +325,15 @@ def _pair_real(u: np.ndarray, i0: int, i1: int) -> np.ndarray:
 def log_integral_bound_check(
     f: TrigSymbol,
     nu: Sequence[int],
-    r: float,
+    rs: Sequence[float],
     resolution: Sequence[int] | int,
     e_tol: float = DEFAULT_E_TOL,
-) -> BoundReport:
+) -> list[BoundReport]:
     """Double-grid quadrature of |log |F|| with
     F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)), against
-    log(4 / (r |f-hat(0)|^2))."""
-    _check_r(r)
+    log(4 / (r |f-hat(0)|^2)), one report per r of ``rs``."""
+    for r in rs:
+        _check_r(r)
     f0 = _f0(f)
     sampling = f.evaluate_on_grid(resolution)
     total = sampling.size
@@ -340,69 +343,62 @@ def log_integral_bound_check(
     # restriction to E x E can only shrink the integral; recorded for reference
     mask = unit_modulus_set(sampling, e_tol).mask.ravel()
     full_E = bool(mask.all())  # then E x E is the whole grid, summed once
-    whole = on_E = 0.0
-    excluded = 0
-    for i0, i1 in _triangle_blocks(total):
-        abslog, below = _log_kernel_modulus(g, r, i0, i1)
-        excluded += below
-        np.abs(abslog, out=abslog)
-        abslog[:, i1 - i0:] *= 2.0
-        whole += csum(abslog)
-        if not full_E:
-            on_E += csum(abslog[np.ix_(mask[i0:i1], mask[i0:])])
-    lhs = whole / total**2
-    lhs_restricted = lhs if full_E else on_E / total**2
-    rhs = math.log(4.0 / (r * abs(f0) ** 2))
-    return BoundReport(
-        check_id="log_integral_bound",
-        params={"r": r, "resolution": resolution if isinstance(resolution, int) else list(resolution)},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=DEFAULT_LOG_BOUND_TOL,
-        passed=lhs <= rhs + DEFAULT_LOG_BOUND_TOL,
-        details={
-            "excluded_nodes": excluded,
-            "lhs_restricted_to_E": lhs_restricted,
-            "floor": LOG_FLOOR,
-        },
-    )
+    res = resolution if isinstance(resolution, int) else list(resolution)
+    reports = []
+    for r in rs:
+        whole = on_E = 0.0
+        excluded = 0
+        for i0, i1 in _triangle_blocks(total):
+            abslog, below = _log_kernel_modulus(g, r, i0, i1)
+            excluded += below
+            np.abs(abslog, out=abslog)
+            abslog[:, i1 - i0:] *= 2.0
+            whole += csum(abslog)
+            if not full_E:
+                on_E += csum(abslog[np.ix_(mask[i0:i1], mask[i0:])])
+        lhs = whole / total**2
+        rhs = math.log(4.0 / (r * abs(f0) ** 2))
+        details = {"excluded_nodes": excluded, "floor": LOG_FLOOR,
+                   "lhs_restricted_to_E": lhs if full_E else on_E / total**2}
+        reports.append(BoundReport("log_integral_bound", {"r": r, "resolution": res}, lhs, rhs,
+                                   DEFAULT_LOG_BOUND_TOL, lhs <= rhs + DEFAULT_LOG_BOUND_TOL, details))
+    return reports
 
 
 def identity_check(
     f: TrigSymbol,
     nu: Sequence[int],
-    n: int,
-    k: int,
+    ns: Sequence[int],
+    ks: Sequence[int],
     resolution: Sequence[int] | int,
     e_tol: float = DEFAULT_E_TOL,
-) -> BoundReport:
+) -> list[BoundReport]:
     """|b_{n,n-k}|^2 from the table against its double-integral form
-    G^{-2} sum over E x E of u(x) conj(u(y)), u = masked_integrand.  The
-    double sum factors (Fubini) as |G^{-1} sum over E of u|^2, so the rhs
-    takes |E| adds, not |E|^2 products, and no cap on |E| applies.  It is
-    still a direct sum of the table's integrand on the same E, checked
-    against the NUFFT entry.
+    G^{-2} sum over E x E of u(x) conj(u(y)), u = masked_integrand, one
+    report per (n, k) of ``ns`` x ``ks``.  The double sum factors (Fubini)
+    as |G^{-1} sum over E of u|^2, so the rhs takes |E| adds, not |E|^2
+    products, and no cap on |E| applies.  It is still a direct sum of the
+    table's integrand on the same E, checked against the NUFFT entry.
+    Each n gets a one-row table: the NUFFT grid depends on the row range,
+    so one table over all of ``ns`` would move lhs at rounding level.
     """
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
-    table = compute_b_table(f, E, nu, (n, n), [k])
-    if table.degenerate:
-        lhs = rhs = 0.0
-        passed, details = True, {"degenerate": True, "two_sided": True}
-    else:
-        lhs = abs2(table.entry(n, k))
-        rhs = abs2(csum(masked_integrand(E, nu, n, k)) / sampling.size)
-        diff = abs(lhs - rhs)
-        passed, details = diff <= DEFAULT_ENTRY_TOL, {"two_sided": True, "abs_difference": diff}
-    return BoundReport(
-        check_id="identity",
-        params={"n": n, "k": k},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=DEFAULT_ENTRY_TOL,
-        passed=passed,
-        details=details,
-    )
+    reports = []
+    for n in ns:
+        table = compute_b_table(f, E, nu, (n, n), ks)
+        for k in ks:
+            if table.degenerate:
+                lhs = rhs = 0.0
+                passed, details = True, {"degenerate": True, "two_sided": True}
+            else:
+                lhs = abs2(table.entry(n, k))
+                rhs = abs2(csum(masked_integrand(E, nu, n, k)) / sampling.size)
+                diff = abs(lhs - rhs)
+                passed, details = diff <= DEFAULT_ENTRY_TOL, {"two_sided": True, "abs_difference": diff}
+            reports.append(BoundReport(
+                "identity", {"n": n, "k": k}, lhs, rhs, DEFAULT_ENTRY_TOL, passed, details))
+    return reports
 
 
 def abel_series_check(

@@ -35,7 +35,7 @@ from .bounds import (
     szego_check,
     theorem_constant,
 )
-from .coeffs import TableError, compute_b_table
+from .coeffs import TableError, _too_coarse, compute_b_table, required_resolution
 from .config import ConfigError, RunConfig, is_int, is_real, load_config
 from .explorer import decay_fit, tail_series
 from .iterlog import DomainError, find_constants, positivity_threshold
@@ -87,40 +87,46 @@ def build_table(cfg: RunConfig, sampling: GridSampling | None = None):
     return table
 
 
-# Check id -> (its list-valued parameters with their defaults, the names of
-# its single-valued parameters, the verifier of one point of the list-valued
-# parameters' product).  A "k" of "window" stands for the table's k window.  A
-# verifier takes (cfg, table, C, check entry, *point) and looks the check
-# function up at call time, so wrappers set on this module take effect.
+# Check id -> (its list-valued and its single-valued parameters, each with
+# their defaults, and its verifier).  A "k" of "window" stands for the table's
+# k window, a szego "grid" of None for the run's grid.  A verifier takes (cfg,
+# table, C, the entry over its defaults) and returns one report per point of
+# the product of the list-valued parameters.  It looks the check function up
+# at call time, so wrappers set on this module take effect.
 CHECKS = {
     "weighted_series": (
-        {"N": [0], "k": "window"}, (),
-        lambda cfg, t, C, c, N, k: check_weighted_series(t, N, k, C)),
+        {"N": [0], "k": "window"}, {},
+        lambda cfg, t, C, c: [
+            check_weighted_series(t, N, k, C) for N, k in itertools.product(c["N"], c["k"])]),
     "mean_ii": (
-        {"p": [10], "k": "window"}, ("M",),
-        lambda cfg, t, C, c, p, k: check_mean_bound_ii(t, c.get("M", 1), p, k, C)),
+        {"p": [10], "k": "window"}, {"M": 1},
+        lambda cfg, t, C, c: [
+            check_mean_bound_ii(t, c["M"], p, k, C) for p, k in itertools.product(c["p"], c["k"])]),
     "mean_iii": (
-        {"p": [10], "k": [0]}, ("q", "M"),
-        lambda cfg, t, C, c, p, k: check_mean_bound_iii(t, c.get("q", 1), c.get("M", 1), p, k, C)),
+        {"p": [10], "k": [0]}, {"q": 1, "M": 1},
+        lambda cfg, t, C, c: [check_mean_bound_iii(t, c["q"], c["M"], p, k, C)
+                              for p, k in itertools.product(c["p"], c["k"])]),
     "mean_iv": (
-        {"p": [10], "k": "window"}, ("q", "M"),
-        lambda cfg, t, C, c, p, k: check_mean_bound_iv(t, c.get("q", 1), c.get("M", 1), p, k, C)),
+        {"p": [10], "k": "window"}, {"q": 1, "M": 1},
+        lambda cfg, t, C, c: [check_mean_bound_iv(t, c["q"], c["M"], p, k, C)
+                              for p, k in itertools.product(c["p"], c["k"])]),
     "szego": (
-        {}, ("grid",),
-        lambda cfg, t, C, c: szego_check(cfg.symbol, cfg.halfspace, c.get("grid", cfg.grid))),
+        {}, {"grid": None},
+        lambda cfg, t, C, c: [szego_check(
+            cfg.symbol, cfg.halfspace, cfg.grid if c["grid"] is None else c["grid"])]),
     "identity": (
-        {"n": [1], "k": [0]}, ("grid",),
-        lambda cfg, t, C, c, n, k: identity_check(
-            cfg.symbol, cfg.nu, n, k, c.get("grid", 256), e_tol=cfg.e_tol)),
+        {"n": [1], "k": [0]}, {"grid": 256},
+        lambda cfg, t, C, c: identity_check(
+            cfg.symbol, cfg.nu, c["n"], c["k"], c["grid"], e_tol=cfg.e_tol)),
     "log_integral": (
-        {"r": [0.5]}, ("grid",),
-        lambda cfg, t, C, c, r: log_integral_bound_check(
-            cfg.symbol, cfg.nu, r, c.get("grid", 128), e_tol=cfg.e_tol)),
+        {"r": [0.5]}, {"grid": 128},
+        lambda cfg, t, C, c: log_integral_bound_check(
+            cfg.symbol, cfg.nu, c["r"], c["grid"], e_tol=cfg.e_tol)),
     "abel": (
-        {}, ("N", "k", "r", "n_trunc", "grid"),
-        lambda cfg, t, C, c: abel_series_check(
-            cfg.symbol, cfg.nu, c.get("N", 0), c.get("k", 0), c.get("r", 0.9),
-            c.get("n_trunc", 200), c.get("grid", 512), e_tol=cfg.e_tol)),
+        {}, {"N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512},
+        lambda cfg, t, C, c: [abel_series_check(
+            cfg.symbol, cfg.nu, c["N"], c["k"], c["r"], c["n_trunc"], c["grid"],
+            e_tol=cfg.e_tol)]),
 }
 
 
@@ -130,12 +136,11 @@ def run_checks(cfg: RunConfig, table, only: set[str] | None = None) -> list[Boun
     for check in cfg.checks:
         if only is not None and check["id"] not in only:
             continue
-        lists, _, verify = CHECKS[check["id"]]
-        axes = {name: check.get(name, default) for name, default in lists.items()}
-        if axes.get("k") == "window":
-            axes["k"] = table.k_values
-        for point in itertools.product(*axes.values()):
-            reports.append(verify(cfg, table, C, check, *point))
+        lists, singles, verify = CHECKS[check["id"]]
+        params = {**lists, **singles, **check}
+        if params.get("k") == "window":
+            params["k"] = table.k_values
+        reports.extend(verify(cfg, table, C, params))
     reports.sort(key=lambda r: (r.check_id, json.dumps(r.params, sort_keys=True)))
     return reports
 
@@ -214,17 +219,34 @@ def _load_run_config(args) -> RunConfig:
                 )
             if not all(map(_PARAM_OK[name], value if name in lists else [value])):
                 raise ConfigError(f"check {check['id']!r}: malformed {name}: {value!r}")
-        if "grid" in check:
-            try:
-                res = check_resolution(check["grid"], cfg.symbol.dimension)
-                # abel is capped on |E|, known only once f is evaluated
-                if check["id"] == "log_integral":
-                    _cap_double_grid(math.prod(res))
-            except SymbolError as exc:
-                raise ConfigError(f"check {check['id']!r}: {exc}") from exc
-        if check["id"] in ("mean_iii", "mean_iv"):
-            _check_q(check.get("q", 1))
+        params = {**lists, **singles, **check}
+        if params.get("grid") is not None:  # a szego grid of None is the run's
+            _check_grid(cfg, check["id"], params)
+        if "q" in params:
+            _check_q(params["q"])
     return cfg
+
+
+def _check_grid(cfg: RunConfig, cid: str, c: dict) -> None:
+    """Refuse a check grid with the wrong axes, above log_integral's cap or,
+    unless the check is szego (on a d=1 polynomial it samples no grid),
+    below the symbol's Nyquist bound or the rows of identity's or abel's table."""
+    try:
+        res = check_resolution(c["grid"], cfg.symbol.dimension)
+        # abel is capped on |E|, known only once f is evaluated
+        if cid == "log_integral":
+            _cap_double_grid(math.prod(res))
+    except SymbolError as exc:
+        raise ConfigError(f"check {cid!r}: {exc}") from exc
+    need = cfg.symbol.min_resolution()
+    if cid == "identity":
+        k_abs = cfg.k_window if c["k"] == "window" else max(map(abs, c["k"]))
+        need = tuple(map(max, need, required_resolution(cfg.nu, max(map(abs, c["n"])), k_abs)))
+    if cid == "abel":
+        rows = required_resolution(cfg.nu, abs(c["N"]) + c["n_trunc"], abs(c["k"]))
+        need = tuple(map(max, need, rows))
+    if cid != "szego" and any(g < r for g, r in zip(res, need)):
+        raise _too_coarse(res, need, f"what check {cid!r} samples")
 
 
 # Whether one value of a check parameter is well formed and in range (for a

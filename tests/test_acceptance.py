@@ -121,12 +121,10 @@ def test_criterion_5_coefficient_identity():
     ok = True
     for name in D1_PRESETS:
         cfg = preset_symbol(name)
-        for n in range(1, 17):
-            for k in range(-3, 4):
-                rep = identity_check(cfg.symbol, cfg.nu, n, k, 256)
-                ok = ok and rep.passed and abs(rep.lhs - rep.rhs) <= 1e-10
+        for rep in identity_check(cfg.symbol, cfg.nu, list(range(1, 17)), list(range(-3, 4)), 256):
+            ok = ok and rep.passed and abs(rep.lhs - rep.rhs) <= 1e-10
     torus = preset_symbol("torus2-degenerate")
-    rep = identity_check(torus.symbol, torus.nu, 3, 1, (256, 256))
+    (rep,) = identity_check(torus.symbol, torus.nu, [3], [1], (256, 256))
     ok = ok and rep.passed and rep.lhs == rep.rhs == 0.0
     report(5, "squared entries equal double-integral form to 1e-10", ok)
 
@@ -137,7 +135,7 @@ def test_criterion_6_log_integral_bound():
         cfg = preset_symbol(name)
         for r in (0.5, 0.9):
             t0 = time.monotonic()
-            rep = log_integral_bound_check(cfg.symbol, cfg.nu, r, 128)
+            (rep,) = log_integral_bound_check(cfg.symbol, cfg.nu, [r], 128)
             ok = ok and rep.passed and (time.monotonic() - t0) <= 60.0
     report(6, "kernel log-integral bound at grid 128, r in {0.5, 0.9}", ok)
 
@@ -183,7 +181,7 @@ def test_table_matches_exact_oracle_off_the_grid():
 def test_identity_matches_exact_oracle_beyond_pair_cap(n, k):
     """On 2^16 cells, far past the pair-grid checks' 2048, both sides of
     identity equal |b_{n,n-k}|^2 of the exact oracle; n - k < 0 gives 0."""
-    rep = identity_check(TrigSymbol.blaschke([0.5]), (1,), n, k, 2**16)
+    (rep,) = identity_check(TrigSymbol.blaschke([0.5]), (1,), [n], [k], 2**16)
     want = blaschke_half_exact(n, [n - k])[0] ** 2
     assert rep.passed
     assert abs(rep.lhs - want) <= 1e-13

@@ -167,47 +167,44 @@ def test_log_modulus_integral_equality_case():
 
 
 def test_log_integral_bound_constant_symbol():
-    rep = log_integral_bound_check(TrigSymbol.constant(1.0), (1,), 0.5, 128)
+    (rep,) = log_integral_bound_check(TrigSymbol.constant(1.0), (1,), [0.5], 128)
     assert rep.passed
     assert rep.rhs == pytest.approx(math.log(8))
     assert rep.details["lhs_restricted_to_E"] <= rep.lhs + 1e-15
 
 
 def test_log_integral_bound_blaschke(blaschke_half):
-    for r in (0.5, 0.9):
-        rep = log_integral_bound_check(blaschke_half, (1,), r, 128)
+    for rep in log_integral_bound_check(blaschke_half, (1,), [0.5, 0.9], 128):
         assert rep.passed
 
 
 def test_log_integral_bound_r_rejected(blaschke_half):
     with pytest.raises(HypothesisViolation):
-        log_integral_bound_check(blaschke_half, (1,), 1.5, 128)
+        log_integral_bound_check(blaschke_half, (1,), [1.5], 128)
 
 
 def test_identity_constant_symbol():
     for n in (1, 3):
         for k in (0, 1, 3):
-            rep = identity_check(TrigSymbol.constant(1.0), (1,), n, k, 128)
+            (rep,) = identity_check(TrigSymbol.constant(1.0), (1,), [n], [k], 128)
             assert rep.passed
             expected = 1.0 if n == k else 0.0
             assert rep.lhs == pytest.approx(expected, abs=1e-12)
 
 
 def test_identity_blaschke(blaschke_half):
-    rep = identity_check(blaschke_half, (1,), 3, 1, 256)
+    (rep,) = identity_check(blaschke_half, (1,), [3], [1], 256)
     assert rep.passed
     assert rep.details["abs_difference"] <= 1e-10
 
 
 def test_identity_sweep(blaschke_half):
-    for n in (-2, 1, 4, 9, 16):
-        for k in (-3, 0, 2):
-            rep = identity_check(blaschke_half, (1,), n, k, 256)
-            assert rep.details["abs_difference"] <= 1e-10
+    for rep in identity_check(blaschke_half, (1,), [-2, 1, 4, 9, 16], [-3, 0, 2], 256):
+        assert rep.details["abs_difference"] <= 1e-10
 
 
 def test_identity_degenerate(torus2_degenerate):
-    rep = identity_check(torus2_degenerate, (1, 1), 3, 1, (256, 256))
+    (rep,) = identity_check(torus2_degenerate, (1, 1), [3], [1], (256, 256))
     assert rep.passed
     assert rep.lhs == rep.rhs == 0.0
     assert rep.details["degenerate"]
@@ -308,7 +305,7 @@ def test_log_integral_blocks_match_outer_product(small_blocks, name, nu, grid, e
     abslog = np.abs(np.log(np.clip(mods, LOG_FLOOR, None)))
     mask = np.abs(np.abs(vals) - 1.0) <= e_tol
     assert name == "blaschke" or not mask.all()
-    rep = log_integral_bound_check(f, nu, 0.5, grid, e_tol=e_tol)
+    (rep,) = log_integral_bound_check(f, nu, [0.5], grid, e_tol=e_tol)
     assert rep.lhs == pytest.approx(math.fsum(abslog.ravel().tolist()) / sampling.size**2, rel=0, abs=PAIR_TOL)
     assert rep.rhs == math.log(4.0 / (0.5 * abs(f.coefficient_at_zero()) ** 2))
     restricted = math.fsum(abslog[np.outer(mask, mask)].tolist()) / sampling.size**2
@@ -329,7 +326,7 @@ def test_identity_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol
         integral = fsum_complex(np.outer(u, np.conj(u))) / size**2
         # the terms at (x, y) and (y, x) are conjugate: the sum is real
         assert abs(integral.imag) <= PAIR_TOL
-        rep = identity_check(f, nu, n, k, grid, e_tol=e_tol)
+        (rep,) = identity_check(f, nu, [n], [k], grid, e_tol=e_tol)
         assert rep.lhs == abs2(compute_b_table(
             f, unit_modulus_set(f.evaluate_on_grid(grid), e_tol), nu, (n, n), [k]
         ).entry(n, k))
@@ -366,7 +363,7 @@ def test_log_integral_zero_kernel_cells_excluded(small_blocks):
     mods = outer_kernel_modulus(sampling.samples.ravel(), grid_phase((8,), (0,)).ravel(), 0.25)
     assert np.count_nonzero(mods == 0.0) == 64
     whole = math.fsum(np.abs(np.log(np.clip(mods, LOG_FLOOR, None))).ravel().tolist()) / 64
-    rep = log_integral_bound_check(ZERO_KERNEL_SYMBOL, (0,), 0.25, 8, e_tol=0.5)
+    (rep,) = log_integral_bound_check(ZERO_KERNEL_SYMBOL, (0,), [0.25], 8, e_tol=0.5)
     assert rep.details["excluded_nodes"] == 64
     assert math.isfinite(rep.lhs)
     assert rep.lhs == pytest.approx(whole, rel=1e-15, abs=0)

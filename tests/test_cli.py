@@ -477,6 +477,35 @@ def test_coarse_abel_grid_exits_usage(tmp_path, capsys):
     assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith("smallest usable power-of-two grid: 256\n")
+    assert not (tmp_path / "out" / "table.csv").exists()
+
+
+@pytest.mark.parametrize("doc, grid", [
+    pytest.param(dict(ARC_CONFIG, checks=[{"id": "abel", "N": 1, "n_trunc": 100, "grid": 128}]),
+                 256, id="abel-rows"),
+    # n 200 at the default identity grid 256: its characters need 402 points
+    pytest.param(small_preset(checks=[{"id": "identity", "n": [200]}]), 512, id="identity-rows"),
+    # below the spectral Nyquist bound of 0.5 + 0.5 e^{2 pi i x}
+    pytest.param(small_preset(symbol=preset_config("szego-equality")["symbol"],
+                              checks=[{"id": "log_integral", "grid": 2}]), 4, id="log_integral-nyquist"),
+])
+def test_coarse_check_grid_exits_before_table(tmp_path, capsys, doc, grid):
+    """A check grid too coarse for the symbol or for the check's table rows
+    is refused from the config, before table.csv is written, and the
+    message names the smallest usable grid."""
+    out = tmp_path / "out"
+    assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"smallest usable power-of-two grid: {grid}\n")
+    assert not (out / "table.csv").exists()
+
+
+def test_szego_check_grid_below_nyquist_still_runs(tmp_path):
+    """szego on a d=1 polynomial integrates through its roots and samples
+    no grid, so a grid below the spectral Nyquist bound stays usable."""
+    doc = small_preset(symbol=preset_config("szego-equality")["symbol"],
+                       checks=[{"id": "szego", "grid": 2}])
+    assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
 
 
 # Run in a fresh interpreter: this one has imported scipy.integrate already.
@@ -538,6 +567,34 @@ def test_symbol_evaluated_once_per_run(tmp_path, monkeypatch):
     assert np.array_equal(alone.values, shared.values)
 
 
+def test_grid_check_samples_its_grid_once_per_entry(tmp_path, monkeypatch):
+    """identity and log_integral sample their grid and find E once for all
+    the points of their entry; on torus2-degenerate the 256 x 256 grid is
+    sampled by the gate, szego and identity only."""
+    from watlab.symbols import TrigSymbol
+
+    calls = Counter()
+    evaluate = TrigSymbol.evaluate_on_grid
+
+    def counting(self, resolution):
+        sampling = evaluate(self, resolution)
+        calls[sampling.resolution] += 1
+        return sampling
+
+    monkeypatch.setattr(TrigSymbol, "evaluate_on_grid", counting)
+    checks = [
+        {"id": "identity", "n": list(range(1, 17)), "k": list(range(-3, 4)), "grid": 256},
+        {"id": "log_integral", "r": [0.5, 0.9], "grid": 128},
+    ]
+    cfg = write_config(tmp_path, small_preset(grid=[4096], checks=checks))
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert calls == {(4096,): 1, (256,): 1, (128,): 1}
+    calls.clear()
+    preset = ["check", "--preset", "torus2-degenerate", "--out", str(tmp_path / "torus")]
+    assert run(preset) == cli.EXIT_OK
+    assert calls[(256, 256)] == 3
+
+
 # The parameters a bare {"id": X} has always expanded to, on a table with
 # k window 1 (alpha and gamma are the q = 1 constants).
 ALPHA_1 = 1.0 / math.log(3.0)
@@ -571,7 +628,7 @@ def test_bare_check_defaults(tmp_path):
 
 def test_benchmark_tracer_sees_every_check(tmp_path, monkeypatch):
     """The benchmark's tracer wraps the check functions on the cli module;
-    the registry must reach them through it, once per report."""
+    the registry must reach them through it, once per check entry."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from tracing import CHECK_IDS, Tracer
 
@@ -587,6 +644,29 @@ def test_benchmark_tracer_sees_every_check(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     spans = Counter(span[0] for span in tracer.spans)
     assert {cid: spans[f"bounds.{cid}"] for cid in cli.CHECKS} == dict.fromkeys(cli.CHECKS, 1)
+
+
+def test_benchmark_tracer_reads_a_traced_pass(tmp_path, monkeypatch):
+    """The tracer's layer metrics read a symbols.evaluate span under every
+    log_integral span and a symbols.mask span under every identity span;
+    each multi-point entry is one call."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer, layer_metrics
+
+    checks = [
+        {"id": "identity", "n": [1, 2], "k": [0, 1]},
+        {"id": "log_integral", "r": [0.5, 0.9]},
+    ]
+    cfg = write_config(tmp_path, small_preset(checks=checks))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = tracer.traced("pass", run, ["check", "--config", cfg, "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    metrics = layer_metrics(tracer.spans)
+    assert metrics["bounds.identity_calls"] == metrics["bounds.log_integral_calls"] == 1
 
 
 def test_config_and_preset_conflict(tmp_path):
