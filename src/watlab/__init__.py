@@ -7,7 +7,6 @@ from .coeffs import DiagonalTable, brute_force_b, compute_b_table
 from .iterlog import IteratedLogParams, a_of_lq, big_l, find_constants, log_iter
 from .lattice import HalfSpace
 from .symbols import (
-    GridSampling,
     TrigSymbol,
     UnitModulusSet,
     sup_norm,
@@ -16,7 +15,6 @@ from .symbols import (
 
 __all__ = [
     "DiagonalTable",
-    "GridSampling",
     "HalfSpace",
     "IteratedLogParams",
     "TrigSymbol",

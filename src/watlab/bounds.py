@@ -237,7 +237,7 @@ def log_modulus_integral(
         val = math.log(abs(coeffs[-1])) + csum(np.log(np.maximum(1.0, np.abs(roots))))
         return val, "roots", 0
     sampling = f.evaluate_on_grid(resolution)
-    mods = np.abs(sampling.samples).ravel()
+    mods = np.abs(sampling).ravel()
     keep = mods >= ZERO_NODE_FLOOR
     excluded = int(mods.size - np.count_nonzero(keep))
     val = float(csum(np.log(mods[keep]))) / sampling.size
@@ -338,8 +338,8 @@ def log_integral_bound_check(
     sampling = f.evaluate_on_grid(resolution)
     total = sampling.size
     _cap_double_grid(total)
-    phase = grid_phase(sampling.resolution, nu).ravel()
-    g = sampling.samples.ravel() * np.exp(-2j * np.pi * phase)
+    phase = grid_phase(sampling.shape, nu).ravel()
+    g = sampling.ravel() * np.exp(-2j * np.pi * phase)
     # restriction to E x E can only shrink the integral; recorded for reference
     mask = unit_modulus_set(sampling, e_tol).mask.ravel()
     full_E = bool(mask.all())  # then E x E is the whole grid, summed once

@@ -35,12 +35,14 @@ from .bounds import (
     szego_check,
     theorem_constant,
 )
-from .coeffs import TableError, _too_coarse, compute_b_table, required_resolution
+from .coeffs import TableError, compute_b_table
 from .config import ConfigError, RunConfig, is_int, is_real, load_config
 from .explorer import decay_fit, tail_series
 from .iterlog import DomainError, find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
-from .symbols import GridSampling, SymbolError, check_resolution, sup_norm, unit_modulus_set
+from .symbols import (
+    SymbolError, check_resolution, fit_grid, required_grid, sup_norm, unit_modulus_set,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -55,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def verify_hypotheses(cfg: RunConfig) -> GridSampling:
+def verify_hypotheses(cfg: RunConfig):
     """Gate a run on the standing hypotheses; raises HypothesisViolation.
     Returns the symbol's sampling on the run grid, for ``build_table``."""
     if cfg.symbol.coefficient_at_zero() == 0:
@@ -75,7 +77,7 @@ def verify_hypotheses(cfg: RunConfig) -> GridSampling:
     return sampling
 
 
-def build_table(cfg: RunConfig, sampling: GridSampling | None = None):
+def build_table(cfg: RunConfig, sampling=None):
     """The run's table; ``sampling`` is the symbol on the run grid, evaluated
     here if not given."""
     if sampling is None:
@@ -229,7 +231,7 @@ def _load_run_config(args) -> RunConfig:
 
 def _check_grid(cfg: RunConfig, cid: str, c: dict) -> None:
     """Refuse a check grid with the wrong axes, above log_integral's cap or,
-    unless the check is szego (on a d=1 polynomial it samples no grid),
+    unless the check is szego on d=1 (a polynomial there samples no grid),
     below the symbol's Nyquist bound or the rows of identity's or abel's table."""
     try:
         res = check_resolution(c["grid"], cfg.symbol.dimension)
@@ -238,15 +240,15 @@ def _check_grid(cfg: RunConfig, cid: str, c: dict) -> None:
             _cap_double_grid(math.prod(res))
     except SymbolError as exc:
         raise ConfigError(f"check {cid!r}: {exc}") from exc
-    need = cfg.symbol.min_resolution()
+    if cid == "szego" and cfg.symbol.dimension == 1:
+        return
+    n_abs = k_abs = 0
     if cid == "identity":
+        n_abs = max(map(abs, c["n"]))
         k_abs = cfg.k_window if c["k"] == "window" else max(map(abs, c["k"]))
-        need = tuple(map(max, need, required_resolution(cfg.nu, max(map(abs, c["n"])), k_abs)))
     if cid == "abel":
-        rows = required_resolution(cfg.nu, abs(c["N"]) + c["n_trunc"], abs(c["k"]))
-        need = tuple(map(max, need, rows))
-    if cid != "szego" and any(g < r for g, r in zip(res, need)):
-        raise _too_coarse(res, need, f"what check {cid!r} samples")
+        n_abs, k_abs = abs(c["N"]) + c["n_trunc"], abs(c["k"])
+    fit_grid(res, required_grid(cfg.symbol, cfg.nu, n_abs, k_abs), f"what check {cid!r} samples")
 
 
 # Whether one value of a check parameter is well formed and in range (for a
@@ -321,19 +323,21 @@ def _cmd_szego(args) -> int:
 
 
 def _build(args, subdir: str = ""):
-    """Load and gate the run config, create ``--out`` (and ``subdir`` in it),
-    build the table and write table.csv; returns (cfg, out, table)."""
+    """Load the run config, refuse a run grid too coarse for its rows and k
+    window, gate the config, create ``--out`` (and ``subdir`` in it) and
+    build the table; returns (cfg, out, table)."""
     cfg = _load_run_config(args)
+    need = required_grid(cfg.symbol, cfg.nu, max(abs(cfg.n_min), abs(cfg.n_max)), cfg.k_window)
+    fit_grid(check_resolution(cfg.grid, cfg.symbol.dimension), need, "characters up to (n-k)nu")
     sampling = verify_hypotheses(cfg)
     out = Path(args.out)
     (out / subdir).mkdir(parents=True, exist_ok=True)
-    table = build_table(cfg, sampling)
-    table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
-    return cfg, out, table
+    return cfg, out, build_table(cfg, sampling)
 
 
 def _cmd_table(args) -> int:
-    cfg, out, _ = _build(args)
+    cfg, out, table = _build(args)
+    table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     write_manifest(cfg, out, "table", ["table.csv"])
     print(f"table written to {out / 'table.csv'}")
     return EXIT_OK
@@ -343,6 +347,8 @@ def _cmd_check(args) -> int:
     cfg, out, table = _build(args)
     only = set(args.checks.split(",")) if args.checks else None
     reports = run_checks(cfg, table, only=only)
+    # after the checks, so that a check that raises leaves no table.csv
+    table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     write_reports(reports, out / "reports.jsonl")
     write_manifest(cfg, out, "check", ["table.csv", "reports.jsonl"])
     failed = [r for r in reports if not r.passed]
@@ -361,6 +367,7 @@ def _write_dat(path: Path, xs, ys) -> None:
 
 def _cmd_explore(args) -> int:
     cfg, out, table = _build(args, "plots")
+    table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     summary = {"k": args.k}
     outputs = ["table.csv", "summary.json"]
     for weight, q, fname in (

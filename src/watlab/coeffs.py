@@ -14,7 +14,9 @@ exp(beta (sqrt(1 - z^2) - 1)) of Barnett, Magland & af Klinteberg (SIAM J.
 Sci. Comput. 41, 2019), one FFT per diagonal, then divide by the kernel's
 Fourier transform, found by Gauss-Legendre quadrature.  np.bincount and
 np.fft reduce in a fixed order, so tables are bit-identical across runs.
-brute_force_b sums the same integrand cell by cell.
+brute_force_b sums the same integrand cell by cell.  Both refuse a grid
+that cannot resolve f and the characters (n-k) nu, by the one rule
+symbols.fit_grid(required_grid(...)), the oracle before it samples.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ import numpy as np
 # perfbench/tracing.py wraps coeffs.csum_rows by name; nothing here calls it.
 from .accum import csum, csum_rows
 from .symbols import (
-    ResolutionError,
     TrigSymbol,
     UnitModulusSet,
+    check_resolution,
+    fit_grid,
     grid_phase,
+    required_grid,
     unit_modulus_set,
 )
 
@@ -80,26 +84,6 @@ def k_values_for_window(k_window) -> tuple[int, ...]:
             raise TableError("k window must be >= 0")
         return tuple(range(-k_window, k_window + 1))
     return tuple(int(k) for k in k_window)
-
-
-def required_resolution(nu: Sequence[int], n_abs_max: int, k_abs_max: int) -> tuple[int, ...]:
-    """Per-axis resolution needed for spectral exactness of the characters."""
-    return tuple(2 * abs(int(v)) * (n_abs_max + k_abs_max) + 2 for v in nu)
-
-
-def smallest_pow2_grid(need: Sequence[int]) -> tuple[int, ...]:
-    """The smallest grid of power-of-two axes (the only kind a sampling
-    takes) with at least ``need`` points on each axis."""
-    return tuple(1 << (max(r, 2) - 1).bit_length() for r in need)
-
-
-def _too_coarse(res: tuple[int, ...], need: tuple[int, ...], what: str) -> ResolutionError:
-    """The error for a grid below ``need``, naming the smallest usable grid."""
-    fits = ",".join(map(str, smallest_pow2_grid(need)))
-    return ResolutionError(
-        f"grid {res} cannot resolve {what}; required per-axis resolution: {need}; "
-        f"smallest usable power-of-two grid: {fits}"
-    )
 
 
 @dataclass
@@ -172,8 +156,8 @@ def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
     """Per-cell data on E, in grid order: nu . x and the phase
     theta = arg f - 2 pi nu . x that the table engine transforms."""
     idx = np.flatnonzero(E.mask)
-    samples = E.sampling.samples.ravel()[idx]
-    phase = grid_phase(E.sampling.resolution, nu).ravel()[idx]
+    samples = E.sampling.ravel()[idx]
+    phase = grid_phase(E.sampling.shape, nu).ravel()[idx]
     theta = np.angle(samples) - 2 * np.pi * phase
     return phase, theta
 
@@ -280,11 +264,9 @@ def compute_b_table(
     rows = n_max - n_min + 1
     if rows * len(k_values) > MAX_TABLE_ENTRIES:
         raise TableError(f"{rows} x {len(k_values)} table entries exceed {MAX_TABLE_ENTRIES}")
-    res = E.sampling.resolution
-    k_abs = max((abs(k) for k in k_values), default=0)
-    need = required_resolution(nu, max(abs(n_min), abs(n_max)), k_abs)
-    if any(g < r for g, r in zip(res, need)):
-        raise _too_coarse(res, need, "characters up to (n-k)nu")
+    res = E.sampling.shape
+    n_abs, k_abs = max(abs(n_min), abs(n_max)), max(map(abs, k_values), default=0)
+    fit_grid(res, required_grid(f, nu, n_abs, k_abs), "characters up to (n-k)nu")
 
     degenerate = E.measure <= DEGENERATE_MEASURE_FACTOR / min(res)
     if degenerate:
@@ -313,13 +295,9 @@ def brute_force_b(
 ) -> complex:
     """The table's integrand on E (masked_integrand), evaluated cell by cell
     on a fresh sampling and summed directly with csum: no NUFFT."""
-    nu = tuple(int(v) for v in nu)
-    sampling = f.evaluate_on_grid(resolution)
-    if any(
-        abs((n - k) * v) >= g / 2 for v, g in zip(nu, sampling.resolution)
-    ):
-        need = required_resolution(nu, abs(n), abs(k))
-        raise _too_coarse(sampling.resolution, need, "character (n-k)nu")
+    res = check_resolution(resolution, f.dimension)
+    fit_grid(res, required_grid(f, nu, abs(n), abs(k)), "character (n-k)nu")
+    sampling = f.evaluate_on_grid(res)
     E = unit_modulus_set(sampling, e_tol)
     if E.measure == 0.0:
         return 0j

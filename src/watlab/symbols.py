@@ -4,8 +4,12 @@ A symbol is either a finite trigonometric polynomial (a map from lattice
 indices to coefficients) or a member of a built-in analytic family:
 finite Blaschke products on the circle, evaluated from the closed formula so
 their boundary modulus stays 1 to rounding, and constants.  Grid evaluation
-uses uniform nodes x_j = j/G with power-of-two resolutions; on the torus the
-uniform-node average is spectrally exact for resolved trig polynomials.
+uses uniform nodes x_j = j/G with power-of-two resolutions and returns the
+array of samples; on the torus the uniform-node average is spectrally exact
+for resolved trig polynomials.  The one grid rule: b_{n,n-k} is exact on a
+grid that resolves f (min_resolution) and the characters (n-k) nu
+(required_resolution); required_grid takes both, and fit_grid refuses a grid
+below it.
 """
 
 from __future__ import annotations
@@ -55,22 +59,10 @@ def check_resolution(resolution: Sequence[int] | int, dimension: int) -> tuple[i
 
 
 @dataclass(frozen=True)
-class GridSampling:
-    """Pointwise values of a symbol on the uniform grid."""
-
-    resolution: tuple[int, ...]
-    samples: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.resolution))
-
-
-@dataclass(frozen=True)
 class UnitModulusSet:
     """Grid mask approximating E = {x : |f(x)| = 1} and its measure."""
 
-    sampling: GridSampling
+    sampling: np.ndarray
     mask: np.ndarray
     tol: float
     measure: float
@@ -145,17 +137,11 @@ class TrigSymbol:
             return out
         return complex(self.params[0])
 
-    def max_index(self) -> tuple[int, ...]:
-        if self.spectrum is None:
-            return (0,) * self.dimension
-        out = [0] * self.dimension
-        for xi, _ in self.spectrum:
-            for i, v in enumerate(xi):
-                out[i] = max(out[i], abs(v))
-        return tuple(out)
-
     def min_resolution(self) -> tuple[int, ...]:
-        return tuple(max(2, 2 * m + 2) for m in self.max_index())
+        """The spectral Nyquist bound: 2 max |xi_i| + 2 points on axis i."""
+        spectrum = self.spectrum or ()
+        return tuple(2 * max((abs(xi[i]) for xi, _ in spectrum), default=0) + 2
+                     for i in range(self.dimension))
 
     def vanishes_on(self, halfspace: HalfSpace) -> bool:
         """True iff every Fourier coefficient supported in the half-space
@@ -172,14 +158,11 @@ class TrigSymbol:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_on_grid(self, resolution: Sequence[int] | int) -> GridSampling:
+    def evaluate_on_grid(self, resolution: Sequence[int] | int) -> np.ndarray:
+        """The samples of f on the uniform grid, an array shaped like it."""
         res = check_resolution(resolution, self.dimension)
+        fit_grid(res, self.min_resolution(), "the spectrum of f")
         if self.spectrum is not None:
-            need = self.min_resolution()
-            if any(g < n for g, n in zip(res, need)):
-                raise ResolutionError(
-                    f"resolution {res} below spectral Nyquist bound {need}"
-                )
             samples = np.zeros(res, dtype=np.complex128)
             for xi, c in self.spectrum:
                 samples += c * np.exp(2j * np.pi * grid_phase(res, xi))
@@ -192,7 +175,7 @@ class TrigSymbol:
             samples = np.full(res, self.params[0], dtype=np.complex128)
         else:
             raise SymbolError(f"unknown family {self.family!r}")
-        return GridSampling(resolution=res, samples=samples)
+        return samples
 
     def describe(self) -> dict:
         if self.spectrum is not None:
@@ -217,14 +200,36 @@ class TrigSymbol:
         }
 
 
-def sup_norm(sampling: GridSampling) -> float:
-    return float(np.abs(sampling.samples).max())
+def required_resolution(nu: Sequence[int], n_abs_max: int, k_abs_max: int) -> tuple[int, ...]:
+    """Per-axis resolution needed for spectral exactness of the characters."""
+    return tuple(2 * abs(int(v)) * (n_abs_max + k_abs_max) + 2 for v in nu)
 
 
-def unit_modulus_set(sampling: GridSampling, tol: float = DEFAULT_E_TOL) -> UnitModulusSet:
+def required_grid(f: TrigSymbol, nu: Sequence[int], n_abs: int, k_abs: int) -> tuple[int, ...]:
+    """The per-axis resolution a grid needs for b_{n,n-k} with |n| <= n_abs
+    and |k| <= k_abs: it must resolve f and the characters (n-k) nu."""
+    return tuple(map(max, f.min_resolution(), required_resolution(nu, n_abs, k_abs)))
+
+
+def fit_grid(res: tuple[int, ...], need: tuple[int, ...], what: str) -> None:
+    """Refuse a grid ``res`` with fewer than ``need`` points on an axis, naming
+    the smallest power-of-two grid (the only kind a sampling takes) that fits."""
+    if any(g < r for g, r in zip(res, need)):
+        fits = ",".join(str(1 << (max(r, 2) - 1).bit_length()) for r in need)
+        raise ResolutionError(
+            f"grid {res} cannot resolve {what}; required per-axis resolution: {need}; "
+            f"smallest usable power-of-two grid: {fits}"
+        )
+
+
+def sup_norm(sampling: np.ndarray) -> float:
+    return float(np.abs(sampling).max())
+
+
+def unit_modulus_set(sampling: np.ndarray, tol: float = DEFAULT_E_TOL) -> UnitModulusSet:
     # below 1, so that f/|f| is defined on E
     if not 0 < tol < 1:
         raise SymbolError(f"E-detection tolerance must lie in (0, 1), got {tol}")
-    mask = np.abs(np.abs(sampling.samples) - 1.0) <= tol
+    mask = np.abs(np.abs(sampling) - 1.0) <= tol
     measure = float(np.count_nonzero(mask)) / sampling.size
     return UnitModulusSet(sampling=sampling, mask=mask, tol=tol, measure=measure)

@@ -273,8 +273,8 @@ def outer_masked_u(f, nu, n, k, grid, e_tol):
     E = unit_modulus_set(sampling, e_tol)
     assert 0 < E.measure <= 1
     mask = E.mask.ravel()
-    vals = sampling.samples.ravel()[mask]
-    phase = grid_phase(sampling.resolution, nu).ravel()[mask]
+    vals = sampling.ravel()[mask]
+    phase = grid_phase(sampling.shape, nu).ravel()[mask]
     return (vals / np.abs(vals), phase, masked_integrand(E, nu, n, k)), sampling.size
 
 
@@ -300,8 +300,8 @@ def small_blocks(request, monkeypatch):
 def test_log_integral_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol):
     f = PAIR_SYMBOLS[name]
     sampling = f.evaluate_on_grid(grid)
-    vals = sampling.samples.ravel()
-    mods = outer_kernel_modulus(vals, grid_phase(sampling.resolution, nu).ravel(), 0.5)
+    vals = sampling.ravel()
+    mods = outer_kernel_modulus(vals, grid_phase(sampling.shape, nu).ravel(), 0.5)
     abslog = np.abs(np.log(np.clip(mods, LOG_FLOOR, None)))
     mask = np.abs(np.abs(vals) - 1.0) <= e_tol
     assert name == "blaschke" or not mask.all()
@@ -360,7 +360,7 @@ ZERO_KERNEL_SYMBOL = TrigSymbol.trig_polynomial(1, {(0,): 2})
 
 def test_log_integral_zero_kernel_cells_excluded(small_blocks):
     sampling = ZERO_KERNEL_SYMBOL.evaluate_on_grid(8)
-    mods = outer_kernel_modulus(sampling.samples.ravel(), grid_phase((8,), (0,)).ravel(), 0.25)
+    mods = outer_kernel_modulus(sampling.ravel(), grid_phase((8,), (0,)).ravel(), 0.25)
     assert np.count_nonzero(mods == 0.0) == 64
     whole = math.fsum(np.abs(np.log(np.clip(mods, LOG_FLOOR, None))).ravel().tolist()) / 64
     (rep,) = log_integral_bound_check(ZERO_KERNEL_SYMBOL, (0,), [0.25], 8, e_tol=0.5)

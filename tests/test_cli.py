@@ -120,6 +120,18 @@ def test_explore_off_diagonal(tmp_path, capsys):
     assert not (fresh / "table.csv").exists()
 
 
+def test_explore_decay_fit_flag(tmp_path):
+    """With too few rows for the dyadic ladder, explore flags the decay fit
+    in summary.json and writes and lists no mean_decay.dat."""
+    out = tmp_path / "out"
+    assert run(["explore", "--preset", "blaschke-half", "--n-max", "8", "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["decay_fit"] == {"flag": "need at least 3 dyadic ladder points"}
+    assert not (out / "plots" / "mean_decay.dat").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "plots/mean_decay.dat" not in manifest["outputs"]
+
+
 def test_coarse_grid_names_usable_grid(tmp_path, capsys):
     """blaschke-half at n_max 4096 needs 8202 points per axis, which is not a
     power of two; the message names the grid that works."""
@@ -136,6 +148,9 @@ def test_szego_subcommand(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["check"] == "szego"
     assert doc["pass"]
+    # szego builds no table, so a grid too coarse for the preset's table
+    # rows but above the symbol's Nyquist bound serves it
+    assert run(["szego", "--preset", "szego-equality", "--grid", "16"]) == cli.EXIT_OK
 
 
 CONSTANTS_OUT = {
@@ -372,15 +387,21 @@ def test_config_numbers_follow_one_rule(tmp_path, capsys, doc, message):
 
 def test_check_reading_outside_the_table_is_a_config_error(tmp_path, capsys):
     """A check that reads the table outside it exits 64, as a config error:
-    a k outside the window, or a block [M, M+p] past n_max."""
-    for entry, message in (
-        ({"id": "weighted_series", "N": [0], "k": [5]}, "error: k=5 outside table window"),
-        ({"id": "mean_ii", "M": 30, "p": [10], "k": [0]},
+    a k outside the window, or a block [M, M+p] past n_max.  So does abel
+    over more than 2048 cells of E (3313 of the arc config's grid 16384).
+    A check that raises leaves no table.csv."""
+    for i, (doc, message) in enumerate((
+        (small_preset(checks=[{"id": "weighted_series", "N": [0], "k": [5]}]),
+         "error: k=5 outside table window"),
+        (small_preset(checks=[{"id": "mean_ii", "M": 30, "p": [10], "k": [0]}]),
          "error: n=40 outside table range [1, 32]"),
-    ):
-        cfg = write_config(tmp_path, small_preset(checks=[entry]))
-        assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        (dict(ARC_CONFIG, checks=[{"id": "abel", "grid": 16384}]),
+         "error: double-grid check needs <= 2048 cells, got 3313"),
+    )):
+        out = tmp_path / f"out{i}"
+        assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith(message)
+        assert not (out / "table.csv").exists()
 
 
 def test_identity_beyond_double_grid_cap(tmp_path, capsys):
@@ -488,6 +509,9 @@ def test_coarse_abel_grid_exits_usage(tmp_path, capsys):
     # below the spectral Nyquist bound of 0.5 + 0.5 e^{2 pi i x}
     pytest.param(small_preset(symbol=preset_config("szego-equality")["symbol"],
                               checks=[{"id": "log_integral", "grid": 2}]), 4, id="log_integral-nyquist"),
+    # szego samples its grid on a d >= 2 symbol: (2, 2) is below the bound (4, 4)
+    pytest.param(dict(preset_config("torus2-degenerate"), checks=[{"id": "szego", "grid": [2, 2]}]),
+                 "4,4", id="szego-d2-nyquist"),
 ])
 def test_coarse_check_grid_exits_before_table(tmp_path, capsys, doc, grid):
     """A check grid too coarse for the symbol or for the check's table rows
@@ -578,7 +602,7 @@ def test_grid_check_samples_its_grid_once_per_entry(tmp_path, monkeypatch):
 
     def counting(self, resolution):
         sampling = evaluate(self, resolution)
-        calls[sampling.resolution] += 1
+        calls[sampling.shape] += 1
         return sampling
 
     monkeypatch.setattr(TrigSymbol, "evaluate_on_grid", counting)

@@ -10,9 +10,8 @@ from watlab.coeffs import (
     TableError,
     brute_force_b,
     compute_b_table,
-    required_resolution,
 )
-from watlab.symbols import ResolutionError, TrigSymbol, unit_modulus_set
+from watlab.symbols import ResolutionError, TrigSymbol, required_resolution, unit_modulus_set
 
 
 def make_table(f, nu, n_range, k_window, grid, e_tol=1e-9):
@@ -192,6 +191,10 @@ def test_resolution_enforced(blaschke_half):
         compute_b_table(blaschke_half, E, (1,), (1, 100), 4)
     with pytest.raises(ResolutionError, match=r"\(202,\); smallest usable power-of-two grid: 256$"):
         brute_force_b(blaschke_half, (1,), 100, 0, 64)
+    # n = k = 100 has character 0, but f^100 is not resolved below grid 512:
+    # summed at grid 64 it aliases to -0.1245, where b is 2^-100
+    with pytest.raises(ResolutionError, match=r"\(402,\); smallest usable power-of-two grid: 512$"):
+        brute_force_b(blaschke_half, (1,), 100, 100, 64)
 
 
 def test_required_resolution_formula():
