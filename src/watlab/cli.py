@@ -1,4 +1,5 @@
-"""Command-line orchestration: reproducible table builds, bound checks,
+"""Command-line orchestration: reproducible table builds, bound checks on
+the config's check entries (validated and resolved by watlab.config),
 exploratory probes, and report emission.
 
 Exit codes: 0 all enabled checks pass, 2 a check failed (for ``constants``,
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,7 +23,6 @@ from . import __version__
 from .bounds import (
     BoundReport,
     HypothesisViolation,
-    _cap_double_grid,
     abel_series_check,
     cauchy_mvt_bound_check,
     check_mean_bound_ii,
@@ -36,9 +35,9 @@ from .bounds import (
     theorem_constant,
 )
 from .coeffs import TableError, compute_b_table
-from .config import ConfigError, RunConfig, is_int, is_real, load_config
+from .config import ConfigError, RunConfig, check_q, load_config
 from .explorer import decay_fit, tail_series
-from .iterlog import DomainError, find_constants, positivity_threshold
+from .iterlog import find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
 from .symbols import (
     SymbolError, check_resolution, fit_grid, required_grid, sup_norm, unit_modulus_set,
@@ -89,46 +88,25 @@ def build_table(cfg: RunConfig, sampling=None):
     return table
 
 
-# Check id -> (its list-valued and its single-valued parameters, each with
-# their defaults, and its verifier).  A "k" of "window" stands for the table's
-# k window, a szego "grid" of None for the run's grid.  A verifier takes (cfg,
-# table, C, the entry over its defaults) and returns one report per point of
-# the product of the list-valued parameters.  It looks the check function up
-# at call time, so wrappers set on this module take effect.
+# Check id -> its verifier, which takes (cfg, table, C, the entry as config
+# resolved it) and returns the entry's reports.  It looks the check function
+# up at call time, so wrappers set on this module take effect.
 CHECKS = {
-    "weighted_series": (
-        {"N": [0], "k": "window"}, {},
-        lambda cfg, t, C, c: [
-            check_weighted_series(t, N, k, C) for N, k in itertools.product(c["N"], c["k"])]),
-    "mean_ii": (
-        {"p": [10], "k": "window"}, {"M": 1},
-        lambda cfg, t, C, c: [
-            check_mean_bound_ii(t, c["M"], p, k, C) for p, k in itertools.product(c["p"], c["k"])]),
-    "mean_iii": (
-        {"p": [10], "k": [0]}, {"q": 1, "M": 1},
-        lambda cfg, t, C, c: [check_mean_bound_iii(t, c["q"], c["M"], p, k, C)
-                              for p, k in itertools.product(c["p"], c["k"])]),
-    "mean_iv": (
-        {"p": [10], "k": "window"}, {"q": 1, "M": 1},
-        lambda cfg, t, C, c: [check_mean_bound_iv(t, c["q"], c["M"], p, k, C)
-                              for p, k in itertools.product(c["p"], c["k"])]),
-    "szego": (
-        {}, {"grid": None},
-        lambda cfg, t, C, c: [szego_check(
-            cfg.symbol, cfg.halfspace, cfg.grid if c["grid"] is None else c["grid"])]),
-    "identity": (
-        {"n": [1], "k": [0]}, {"grid": 256},
-        lambda cfg, t, C, c: identity_check(
-            cfg.symbol, cfg.nu, c["n"], c["k"], c["grid"], e_tol=cfg.e_tol)),
-    "log_integral": (
-        {"r": [0.5]}, {"grid": 128},
-        lambda cfg, t, C, c: log_integral_bound_check(
-            cfg.symbol, cfg.nu, c["r"], c["grid"], e_tol=cfg.e_tol)),
-    "abel": (
-        {}, {"N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512},
-        lambda cfg, t, C, c: [abel_series_check(
-            cfg.symbol, cfg.nu, c["N"], c["k"], c["r"], c["n_trunc"], c["grid"],
-            e_tol=cfg.e_tol)]),
+    "weighted_series": lambda cfg, t, C, c: [
+        check_weighted_series(t, N, k, C) for N, k in itertools.product(c["N"], c["k"])],
+    "mean_ii": lambda cfg, t, C, c: [
+        check_mean_bound_ii(t, c["M"], p, k, C) for p, k in itertools.product(c["p"], c["k"])],
+    "mean_iii": lambda cfg, t, C, c: [
+        check_mean_bound_iii(t, c["q"], c["M"], p, k, C) for p, k in itertools.product(c["p"], c["k"])],
+    "mean_iv": lambda cfg, t, C, c: [
+        check_mean_bound_iv(t, c["q"], c["M"], p, k, C) for p, k in itertools.product(c["p"], c["k"])],
+    "szego": lambda cfg, t, C, c: [szego_check(cfg.symbol, cfg.halfspace, c["grid"])],
+    "identity": lambda cfg, t, C, c: identity_check(
+        cfg.symbol, cfg.nu, c["n"], c["k"], c["grid"], e_tol=cfg.e_tol),
+    "log_integral": lambda cfg, t, C, c: log_integral_bound_check(
+        cfg.symbol, cfg.nu, c["r"], c["grid"], e_tol=cfg.e_tol),
+    "abel": lambda cfg, t, C, c: [abel_series_check(
+        cfg.symbol, cfg.nu, c["N"], c["k"], c["r"], c["n_trunc"], c["grid"], e_tol=cfg.e_tol)],
 }
 
 
@@ -138,11 +116,7 @@ def run_checks(cfg: RunConfig, table, only: set[str] | None = None) -> list[Boun
     for check in cfg.checks:
         if only is not None and check["id"] not in only:
             continue
-        lists, singles, verify = CHECKS[check["id"]]
-        params = {**lists, **singles, **check}
-        if params.get("k") == "window":
-            params["k"] = table.k_values
-        reports.extend(verify(cfg, table, C, params))
+        reports.extend(CHECKS[check["id"]](cfg, table, C, check))
     reports.sort(key=lambda r: (r.check_id, json.dumps(r.params, sort_keys=True)))
     return reports
 
@@ -196,81 +170,10 @@ def _load_run_config(args) -> RunConfig:
     ids = [c["id"] for c in cfg.checks]
     only = getattr(args, "checks", None)
     only = only.split(",") if only else []
-    # a tuple, not the dict: a malformed id may be unhashable
-    unknown = [cid for cid in ids + only if cid not in tuple(CHECKS)]
-    if unknown:
-        raise ConfigError(f"unknown check ids {unknown}; available: {', '.join(CHECKS)}")
     idle = [cid for cid in only if cid not in ids]
     if idle:
         raise ConfigError(f"--checks names {idle}, which the config does not run: {ids}")
-    for check in cfg.checks:
-        lists, singles, _ = CHECKS[check["id"]]
-        extra = sorted(set(check) - {"id", *lists, *singles})
-        if extra:
-            raise ConfigError(
-                f"check {check['id']!r}: unknown parameters {extra}; "
-                f"it takes {', '.join([*lists, *singles])}"
-            )
-        for name in sorted(set(check) - {"id"}):
-            value = check[name]
-            if name in lists and name == "k" and value == "window":
-                continue
-            if name in lists and not (isinstance(value, list) and value):
-                raise ConfigError(
-                    f"check {check['id']!r}: {name} must be a non-empty list, got {value!r}"
-                )
-            if not all(map(_PARAM_OK[name], value if name in lists else [value])):
-                raise ConfigError(f"check {check['id']!r}: malformed {name}: {value!r}")
-        params = {**lists, **singles, **check}
-        if params.get("grid") is not None:  # a szego grid of None is the run's
-            _check_grid(cfg, check["id"], params)
-        if "q" in params:
-            _check_q(params["q"])
     return cfg
-
-
-def _check_grid(cfg: RunConfig, cid: str, c: dict) -> None:
-    """Refuse a check grid with the wrong axes, above log_integral's cap or,
-    unless the check is szego on d=1 (a polynomial there samples no grid),
-    below the symbol's Nyquist bound or the rows of identity's or abel's table."""
-    try:
-        res = check_resolution(c["grid"], cfg.symbol.dimension)
-        # abel is capped on |E|, known only once f is evaluated
-        if cid == "log_integral":
-            _cap_double_grid(math.prod(res))
-    except SymbolError as exc:
-        raise ConfigError(f"check {cid!r}: {exc}") from exc
-    if cid == "szego" and cfg.symbol.dimension == 1:
-        return
-    n_abs = k_abs = 0
-    if cid == "identity":
-        n_abs = max(map(abs, c["n"]))
-        k_abs = cfg.k_window if c["k"] == "window" else max(map(abs, c["k"]))
-    if cid == "abel":
-        n_abs, k_abs = abs(c["N"]) + c["n_trunc"], abs(c["k"])
-    fit_grid(res, required_grid(cfg.symbol, cfg.nu, n_abs, k_abs), f"what check {cid!r} samples")
-
-
-# Whether one value of a check parameter is well formed and in range (for a
-# list-valued parameter, one element of its list).  q is checked by _check_q.
-_PARAM_OK = {
-    **dict.fromkeys(("N", "k", "n", "q"), is_int),
-    **dict.fromkeys(("p", "M"), lambda v: is_int(v) and v >= 1),
-    "n_trunc": lambda v: is_int(v) and v >= 0,
-    "r": lambda v: is_real(v) and 0 < v < 1,
-    "grid": lambda v: is_int(v) or (isinstance(v, list) and bool(v) and all(map(is_int, v))),
-}
-
-
-def _check_q(q) -> None:
-    """Refuse a q that has no iterated-log constants: not an integer, below
-    1, or with log_{q+1} positive only beyond the float range."""
-    if not is_int(q) or q < 1:
-        raise ConfigError(f"q must be an integer >= 1, got {q!r}")
-    try:
-        positivity_threshold(q + 1)
-    except DomainError as exc:
-        raise ConfigError(f"q={q}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -299,7 +202,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_constants(args) -> int:
-    _check_q(args.q)
+    check_q(args.q)
     params = find_constants(args.q)
     lemma = cauchy_mvt_bound_check(args.q)
     if not lemma.passed:
@@ -322,21 +225,20 @@ def _cmd_szego(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _build(args, subdir: str = ""):
+def _build(args):
     """Load the run config, refuse a run grid too coarse for its rows and k
-    window, gate the config, create ``--out`` (and ``subdir`` in it) and
-    build the table; returns (cfg, out, table)."""
+    window, gate the config and build the table; returns (cfg, out, table),
+    ``out`` not yet created, so that a run that fails leaves none."""
     cfg = _load_run_config(args)
     need = required_grid(cfg.symbol, cfg.nu, max(abs(cfg.n_min), abs(cfg.n_max)), cfg.k_window)
     fit_grid(check_resolution(cfg.grid, cfg.symbol.dimension), need, "characters up to (n-k)nu")
     sampling = verify_hypotheses(cfg)
-    out = Path(args.out)
-    (out / subdir).mkdir(parents=True, exist_ok=True)
-    return cfg, out, build_table(cfg, sampling)
+    return cfg, Path(args.out), build_table(cfg, sampling)
 
 
 def _cmd_table(args) -> int:
     cfg, out, table = _build(args)
+    out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     write_manifest(cfg, out, "table", ["table.csv"])
     print(f"table written to {out / 'table.csv'}")
@@ -347,7 +249,8 @@ def _cmd_check(args) -> int:
     cfg, out, table = _build(args)
     only = set(args.checks.split(",")) if args.checks else None
     reports = run_checks(cfg, table, only=only)
-    # after the checks, so that a check that raises leaves no table.csv
+    # after the checks, so that a check that raises leaves no --out
+    out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     write_reports(reports, out / "reports.jsonl")
     write_manifest(cfg, out, "check", ["table.csv", "reports.jsonl"])
@@ -366,7 +269,8 @@ def _write_dat(path: Path, xs, ys) -> None:
 
 
 def _cmd_explore(args) -> int:
-    cfg, out, table = _build(args, "plots")
+    cfg, out, table = _build(args)
+    (out / "plots").mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})
     summary = {"k": args.k}
     outputs = ["table.csv", "summary.json"]

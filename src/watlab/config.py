@@ -1,16 +1,23 @@
 """Run configuration: a single JSON-compatible document with a versioned
 schema, parsed into validated domain objects and hashed canonically so the
-manifest can identify a run."""
+manifest can identify a run.  It owns the format of the check entries: each
+is validated against ``CHECK_PARAMS`` and resolved over its defaults."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
+from .bounds import _cap_double_grid
+from .coeffs import k_values_for_window
+from .iterlog import DomainError, positivity_threshold
 from .lattice import HalfSpace, LatticeError
-from .symbols import DEFAULT_E_TOL, SymbolError, TrigSymbol
+from .symbols import (
+    DEFAULT_E_TOL, SymbolError, TrigSymbol, check_resolution, fit_grid, required_grid,
+)
 
 SCHEMA_VERSION = 1
 
@@ -91,6 +98,92 @@ def parse_halfspace(doc: dict | None, dimension: int) -> HalfSpace:
         raise ConfigError(f"malformed halfspace spec: {exc}") from exc
 
 
+# Check id -> its list-valued and its single-valued parameters with their
+# defaults; a check reports per point of the product of the list-valued ones.
+# A "k" of "window" is the run's k window, a szego "grid" of None its grid.
+CHECK_PARAMS = {
+    "weighted_series": ({"N": [0], "k": "window"}, {}),
+    "mean_ii": ({"p": [10], "k": "window"}, {"M": 1}),
+    "mean_iii": ({"p": [10], "k": [0]}, {"q": 1, "M": 1}),
+    "mean_iv": ({"p": [10], "k": "window"}, {"q": 1, "M": 1}),
+    "szego": ({}, {"grid": None}),
+    "identity": ({"n": [1], "k": [0]}, {"grid": 256}),
+    "log_integral": ({"r": [0.5]}, {"grid": 128}),
+    "abel": ({}, {"N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512}),
+}
+
+# Whether one value of a check parameter is well formed and in range (for a
+# list-valued parameter, one element of its list).  q is checked by check_q.
+_PARAM_OK = {
+    **dict.fromkeys(("N", "k", "n", "q"), is_int),
+    **dict.fromkeys(("p", "M"), lambda v: is_int(v) and v >= 1),
+    "n_trunc": lambda v: is_int(v) and v >= 0,
+    "r": lambda v: is_real(v) and 0 < v < 1,
+    "grid": lambda v: is_int(v) or (isinstance(v, list) and bool(v) and all(map(is_int, v))),
+}
+
+
+def check_q(q) -> None:
+    """Refuse a q that has no iterated-log constants: not an integer, below
+    1, or with log_{q+1} positive only beyond the float range."""
+    _require(is_int(q) and q >= 1, f"q must be an integer >= 1, got {q!r}")
+    try:
+        positivity_threshold(q + 1)
+    except DomainError as exc:
+        raise ConfigError(f"q={q}: {exc}") from exc
+
+
+def _check_grid(cid: str, c: dict, symbol: TrigSymbol, nu: tuple[int, ...]) -> None:
+    """Refuse a check grid with the wrong axes, above log_integral's cap or
+    (but for szego on d=1) below what the symbol and identity's or abel's rows need."""
+    try:
+        res = check_resolution(c["grid"], symbol.dimension)
+        # abel is capped on |E|, known only once f is evaluated
+        if cid == "log_integral":
+            _cap_double_grid(math.prod(res))
+    except SymbolError as exc:
+        raise ConfigError(f"check {cid!r}: {exc}") from exc
+    if cid == "szego" and symbol.dimension == 1:
+        return
+    n_abs = k_abs = 0
+    if cid == "identity":
+        n_abs, k_abs = max(map(abs, c["n"])), max(map(abs, c["k"]))
+    if cid == "abel":
+        n_abs, k_abs = abs(c["N"]) + c["n_trunc"], abs(c["k"])
+    fit_grid(res, required_grid(symbol, nu, n_abs, k_abs), f"what check {cid!r} samples")
+
+
+def _resolve_check(c: dict, symbol: TrigSymbol, nu: tuple, grid: tuple, k_window: int) -> dict:
+    """The check entry ``c`` over its defaults, its "k" of "window" the k
+    values of the window and its szego "grid" of None the run grid."""
+    _require(isinstance(c, dict) and "id" in c, "each check needs an id")
+    cid = c["id"]
+    _require(isinstance(cid, str) and cid in CHECK_PARAMS,
+             f"unknown check id {cid!r}; available: {', '.join(CHECK_PARAMS)}")
+    lists, singles = CHECK_PARAMS[cid]
+    extra = sorted(set(c) - {"id", *lists, *singles})
+    _require(not extra, f"check {cid!r}: unknown parameters {extra}; "
+                        f"it takes {', '.join([*lists, *singles])}")
+    for name in sorted(set(c) - {"id"}):
+        value = c[name]
+        if name in lists and name == "k" and value == "window":
+            continue
+        _require(name not in lists or (isinstance(value, list) and value),
+                 f"check {cid!r}: {name} must be a non-empty list, got {value!r}")
+        _require(all(map(_PARAM_OK[name], value if name in lists else [value])),
+                 f"check {cid!r}: malformed {name}: {value!r}")
+    params = {**lists, **singles, **c}
+    if params.get("k") == "window":
+        params["k"] = k_values_for_window(k_window)
+    if params.get("grid") is not None:
+        _check_grid(cid, params, symbol, nu)
+    if "q" in params:
+        check_q(params["q"])
+    if "grid" in params and params["grid"] is None:
+        params["grid"] = grid
+    return params
+
+
 @dataclass
 class RunConfig:
     raw: dict
@@ -102,10 +195,13 @@ class RunConfig:
     n_max: int
     k_window: int
     e_tol: float
-    checks: list[dict]
+    checks: list[dict]  # resolved entries; raw["checks"] holds them as given
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Validate ``doc`` and resolve its check entries.  Raises
+        ConfigError for a malformed document or entry, and ResolutionError
+        for a check grid too coarse for what the check samples."""
         _require(isinstance(doc, dict), "config must be a JSON object")
         schema = doc.get("schema", SCHEMA_VERSION)
         _require(schema == SCHEMA_VERSION, f"unsupported schema version {schema}")
@@ -131,8 +227,7 @@ class RunConfig:
         _require(0 < e_tol < 1, "e_tol must lie in (0, 1)")
         checks = doc.get("checks", [])
         _require(isinstance(checks, list), "checks must be a list")
-        for c in checks:
-            _require(isinstance(c, dict) and "id" in c, "each check needs an id")
+        resolved = [_resolve_check(c, symbol, nu, grid, k_window) for c in checks]
         canonical = {
             "schema": SCHEMA_VERSION,
             "symbol": symbol.describe(),
@@ -155,7 +250,7 @@ class RunConfig:
             n_max=n_max,
             k_window=k_window,
             e_tol=e_tol,
-            checks=checks,
+            checks=resolved,
         )
 
     def canonical_json(self) -> str:

@@ -12,7 +12,9 @@ import pytest
 import watlab
 from watlab import cli
 from watlab.bounds import BoundReport
+from watlab.config import CHECK_PARAMS, ConfigError, RunConfig
 from watlab.presets import PRESET_NAMES, preset_config
+from watlab.symbols import ResolutionError
 
 
 def small_preset(**overrides):
@@ -220,6 +222,59 @@ def test_flag_overrides_recorded(tmp_path):
     assert manifest["config"]["e_tol"] == 1e-8
 
 
+# Check entries the config refuses before a table is built.  Grids a check
+# cannot take: above the double-grid cap, or not a power of two.
+BAD_GRID_ENTRIES = (
+    {"id": "log_integral", "grid": 4096},
+    {"id": "identity", "grid": 100},
+)
+# Unknown check ids and parameters, scalars for list-valued parameters, and a
+# bad q.
+REFUSED_ENTRIES = (
+    {"id": "bogus"},
+    {"id": "weighted_series", "N": 0},
+    {"id": "mean_ii", "p": [10], "k": 0},
+    {"id": "identity", "n": [1], "k": "window1"},
+    {"id": "log_integral", "r": 0.5},
+    {"id": "mean_iii", "q": 0},
+    {"id": "mean_iv", "q": 4},
+    {"id": "mean_iv", "q": 9},
+    {"id": "mean_iv", "q": 1.5},
+    {"id": "mean_iii", "alpha": 3},  # not a parameter of mean_iii
+    {"id": "mean_ii", "P": [10]},  # a typo for p
+    {"id": "mean_ii", "p": [10], "zzz": 1},
+    # an empty list would run no point of the check
+    {"id": "identity", "n": []},
+    {"id": "log_integral", "r": []},
+    {"id": "mean_ii", "p": []},
+)
+# Check parameters of the wrong type, in a list or on their own, with the
+# parameter the message names.
+MALFORMED_PARAMS = (
+    ({"id": "abel", "n_trunc": "x"}, "n_trunc"),
+    ({"id": "abel", "N": 0.5}, "N"),
+    ({"id": "abel", "r": None}, "r"),
+    ({"id": "abel", "k": True}, "k"),
+    ({"id": "identity", "grid": "abc"}, "grid"),
+    ({"id": "identity", "grid": [256, "x"]}, "grid"),
+    ({"id": "szego", "grid": "x"}, "grid"),
+    ({"id": "weighted_series", "N": ["a"]}, "N"),
+    ({"id": "weighted_series", "N": [2**63]}, "N"),
+    ({"id": "mean_ii", "M": 1.5}, "M"),
+    ({"id": "mean_iv", "p": ["10"]}, "p"),
+    ({"id": "log_integral", "r": ["0.5"]}, "r"),
+    # values out of range, refused before the table as the types are
+    ({"id": "log_integral", "r": [1.5]}, "r"),
+    ({"id": "log_integral", "r": [2.0]}, "r"),
+    ({"id": "log_integral", "r": [0]}, "r"),
+    ({"id": "abel", "r": float("nan")}, "r"),
+    ({"id": "abel", "r": float("inf")}, "r"),
+    ({"id": "mean_ii", "p": [0]}, "p"),
+    ({"id": "mean_iv", "M": 0}, "M"),
+    ({"id": "abel", "n_trunc": -1}, "n_trunc"),
+)
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run([]) == cli.EXIT_USAGE
     assert run(["check"]) == cli.EXIT_USAGE  # neither --config nor --preset
@@ -243,11 +298,8 @@ def test_usage_errors(tmp_path, capsys):
     def check(*args):
         return run(["check", *args, "--out", str(tmp_path / "out")])
 
-    for entry in (
-        {"id": "abel", "grid": 4096},
-        {"id": "log_integral", "grid": 4096},
-        {"id": "identity", "grid": 100},
-    ):
+    # abel's cap is on the cells of E, so a run refuses it, not the config
+    for entry in ({"id": "abel", "grid": 4096}, *BAD_GRID_ENTRIES):
         cfg = write_config(tmp_path, small_preset(checks=[entry]), "grid.json")
         assert check("--config", cfg) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
@@ -265,22 +317,7 @@ def test_usage_errors(tmp_path, capsys):
     # q are refused before the table is built
     fresh = tmp_path / "fresh"
     sources = [["--preset", "blaschke-half", "--checks", "weighted_seris"]]
-    for i, entry in enumerate((
-        {"id": "bogus"},
-        {"id": "weighted_series", "N": 0},
-        {"id": "mean_ii", "p": [10], "k": 0},
-        {"id": "identity", "n": [1], "k": "window1"},
-        {"id": "log_integral", "r": 0.5},
-        {"id": "mean_iii", "q": 0},
-        {"id": "mean_iv", "q": 4},
-        {"id": "mean_iv", "q": 1.5},
-        {"id": "mean_iii", "alpha": 3},  # not a parameter of mean_iii
-        {"id": "mean_ii", "P": [10]},  # a typo for p
-        # an empty list would run no point of the check
-        {"id": "identity", "n": []},
-        {"id": "log_integral", "r": []},
-        {"id": "mean_ii", "p": []},
-    )):
+    for i, entry in enumerate(REFUSED_ENTRIES):
         sources.append(["--config", write_config(tmp_path, small_preset(checks=[entry]), f"c{i}.json")])
     # --checks names a check the config does not run
     sources.append(["--config", write_config(tmp_path, small_preset(), "idle.json"),
@@ -292,28 +329,7 @@ def test_usage_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
         assert not (fresh / "table.csv").exists()
     # check parameters of the wrong type, in a list or on their own
-    for i, (entry, name) in enumerate((
-        ({"id": "abel", "n_trunc": "x"}, "n_trunc"),
-        ({"id": "abel", "N": 0.5}, "N"),
-        ({"id": "abel", "r": None}, "r"),
-        ({"id": "abel", "k": True}, "k"),
-        ({"id": "identity", "grid": "abc"}, "grid"),
-        ({"id": "identity", "grid": [256, "x"]}, "grid"),
-        ({"id": "szego", "grid": "x"}, "grid"),
-        ({"id": "weighted_series", "N": ["a"]}, "N"),
-        ({"id": "weighted_series", "N": [2**63]}, "N"),
-        ({"id": "mean_ii", "M": 1.5}, "M"),
-        ({"id": "mean_iv", "p": ["10"]}, "p"),
-        ({"id": "log_integral", "r": ["0.5"]}, "r"),
-        # values out of range, refused before the table as the types are
-        ({"id": "log_integral", "r": [1.5]}, "r"),
-        ({"id": "log_integral", "r": [0]}, "r"),
-        ({"id": "abel", "r": float("nan")}, "r"),
-        ({"id": "abel", "r": float("inf")}, "r"),
-        ({"id": "mean_ii", "p": [0]}, "p"),
-        ({"id": "mean_iv", "M": 0}, "M"),
-        ({"id": "abel", "n_trunc": -1}, "n_trunc"),
-    )):
+    for i, (entry, name) in enumerate(MALFORMED_PARAMS):
         cfg = write_config(tmp_path, small_preset(checks=[entry]), f"m{i}.json")
         assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -389,7 +405,7 @@ def test_check_reading_outside_the_table_is_a_config_error(tmp_path, capsys):
     """A check that reads the table outside it exits 64, as a config error:
     a k outside the window, or a block [M, M+p] past n_max.  So does abel
     over more than 2048 cells of E (3313 of the arc config's grid 16384).
-    A check that raises leaves no table.csv."""
+    A check that raises leaves no --out directory."""
     for i, (doc, message) in enumerate((
         (small_preset(checks=[{"id": "weighted_series", "N": [0], "k": [5]}]),
          "error: k=5 outside table window"),
@@ -401,7 +417,7 @@ def test_check_reading_outside_the_table_is_a_config_error(tmp_path, capsys):
         out = tmp_path / f"out{i}"
         assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith(message)
-        assert not (out / "table.csv").exists()
+        assert not out.exists()
 
 
 def test_identity_beyond_double_grid_cap(tmp_path, capsys):
@@ -501,7 +517,9 @@ def test_coarse_abel_grid_exits_usage(tmp_path, capsys):
     assert not (tmp_path / "out" / "table.csv").exists()
 
 
-@pytest.mark.parametrize("doc, grid", [
+# Check grids too coarse for what the check samples, with the smallest usable
+# grid the message names.
+COARSE_GRIDS = [
     pytest.param(dict(ARC_CONFIG, checks=[{"id": "abel", "N": 1, "n_trunc": 100, "grid": 128}]),
                  256, id="abel-rows"),
     # n 200 at the default identity grid 256: its characters need 402 points
@@ -512,7 +530,10 @@ def test_coarse_abel_grid_exits_usage(tmp_path, capsys):
     # szego samples its grid on a d >= 2 symbol: (2, 2) is below the bound (4, 4)
     pytest.param(dict(preset_config("torus2-degenerate"), checks=[{"id": "szego", "grid": [2, 2]}]),
                  "4,4", id="szego-d2-nyquist"),
-])
+]
+
+
+@pytest.mark.parametrize("doc, grid", COARSE_GRIDS)
 def test_coarse_check_grid_exits_before_table(tmp_path, capsys, doc, grid):
     """A check grid too coarse for the symbol or for the check's table rows
     is refused from the config, before table.csv is written, and the
@@ -522,6 +543,20 @@ def test_coarse_check_grid_exits_before_table(tmp_path, capsys, doc, grid):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"smallest usable power-of-two grid: {grid}\n")
     assert not (out / "table.csv").exists()
+
+
+@pytest.mark.parametrize("entry", [*BAD_GRID_ENTRIES, *REFUSED_ENTRIES, *(e for e, _ in MALFORMED_PARAMS)])
+def test_from_dict_refuses_what_check_refuses(entry):
+    """The Python API (and the benchmark's load_config path) refuses every
+    check entry that ``watlab check`` refuses, as the same ConfigError."""
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(small_preset(checks=[entry]))
+
+
+@pytest.mark.parametrize("doc, grid", COARSE_GRIDS)
+def test_from_dict_refuses_coarse_check_grid(doc, grid):
+    with pytest.raises(ResolutionError, match=f"smallest usable power-of-two grid: {grid}$"):
+        RunConfig.from_dict(doc)
 
 
 def test_szego_check_grid_below_nyquist_still_runs(tmp_path):
@@ -637,7 +672,7 @@ BARE_CHECK_PARAMS = {
 
 
 def test_bare_check_defaults(tmp_path):
-    assert set(cli.CHECKS) == set(BARE_CHECK_PARAMS)
+    assert set(cli.CHECKS) == set(CHECK_PARAMS) == set(BARE_CHECK_PARAMS)
     doc = small_preset(k_window=1, checks=[{"id": cid} for cid in cli.CHECKS])
     out = tmp_path / "out"
     assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
@@ -751,9 +786,30 @@ def test_check_failure_exit(tmp_path, monkeypatch):
     assert code == cli.EXIT_CHECK_FAILED
 
 
+def test_from_dict_resolves_check_entries():
+    """from_dict merges each entry over its defaults and expands a "k" of
+    "window" and a szego grid of None; raw keeps the entries as given, so
+    the hash is unchanged."""
+    doc = preset_config("blaschke-half")
+    cfg = RunConfig.from_dict(doc)
+    window = tuple(range(-4, 5))
+    assert cfg.checks == [dict(c, k=window) if c.get("k") == "window" else c for c in doc["checks"]]
+    assert cfg.raw["checks"] == doc["checks"]
+    assert cfg.sha256() == "60a3c66169891c73f320531e48b78d2d6656f201a221dabeaada4325d6dbc664"
+    bare = RunConfig.from_dict(small_preset(k_window=1, checks=[{"id": cid} for cid in CHECK_PARAMS]))
+    assert bare.checks == [
+        {"id": "weighted_series", "N": [0], "k": (-1, 0, 1)},
+        {"id": "mean_ii", "p": [10], "k": (-1, 0, 1), "M": 1},
+        {"id": "mean_iii", "p": [10], "k": [0], "q": 1, "M": 1},
+        {"id": "mean_iv", "p": [10], "k": (-1, 0, 1), "q": 1, "M": 1},
+        {"id": "szego", "grid": (512,)},
+        {"id": "identity", "n": [1], "k": [0], "grid": 256},
+        {"id": "log_integral", "r": [0.5], "grid": 128},
+        {"id": "abel", "N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512},
+    ]
+
+
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_presets_parse(preset):
-    from watlab.config import RunConfig
-
     cfg = RunConfig.from_dict(preset_config(preset))
     assert cfg.symbol.dimension == len(cfg.nu)
