@@ -15,6 +15,8 @@ triangle of their pair grid, in row blocks of at most PAIR_BLOCK_CELLS
 cells, and count each cell right of the diagonal twice.
 They add the ``csum`` of each block to a running total and never hold the
 whole grid.  Their values depend on the block size only at rounding level.
+One generator, _pair_sweep, walks a grid's blocks in one scratch, allocated
+once per sweep and reused from block to block.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ LOG_FLOOR = 1e-300
 ZERO_NODE_FLOOR = 1e-12
 MAX_DOUBLE_GRID_POINTS = 2048
 # Cells of one triangle block of a pair grid: 512 KiB per real array.  The
-# block size bounds a double-grid check's memory, whatever its grid;
-# MAX_DOUBLE_GRID_POINTS bounds its time, which grows with the square.
-# The allocator reuses arrays of this size from block to block; arrays of
-# 2^18 cells went back to the system after each block and were faulted in
-# again, which made a 2048-cell log_integral 2.5 times as slow on a 2-core
-# x86-64 host.
+# block size bounds a double-grid check's memory, three or four such arrays
+# of scratch whatever its grid; MAX_DOUBLE_GRID_POINTS bounds its time, which
+# grows with the square.  The block partition fixes which cells each csum
+# adds, and so the last bits of every pair sum: another size would change
+# lhs, rhs and the bytes of reports.jsonl at rounding level.
 PAIR_BLOCK_CELLS = 2**16
 
 
@@ -285,10 +286,12 @@ def _triangle_blocks(n: int):
         i0 = i1
 
 
-def _log_kernel_modulus(g: np.ndarray, r: float, i0: int, i1: int) -> tuple[np.ndarray, int]:
-    """log max(|F|, LOG_FLOOR) on the rows i0:i1 and columns i0: of the pair
-    grid, and how many cells of the whole grid these rows and their mirror
-    image hold with |F| < LOG_FLOOR.
+def _pair_sweep(g: np.ndarray, r: float, u: np.ndarray | None = None):
+    """Yield (i0, i1, logmod, floored, pair) for each _triangle_blocks block
+    of the pair grid of ``g``: log max(|F|, LOG_FLOOR) on its rows i0:i1 and
+    columns i0:, how many cells of the whole grid these rows and their mirror
+    image hold with |F| < LOG_FLOOR, and Re(u(x) conj(u(y))) there (None
+    without ``u``), in scratch that the next block overwrites.
 
     F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)) has the modulus of
     1 - r w, w = g(x) conj(g(y)), g = f e^{-2 pi i nu.x}.  Its real and
@@ -297,29 +300,39 @@ def _log_kernel_modulus(g: np.ndarray, r: float, i0: int, i1: int) -> tuple[np.n
     (|F| < 1e-150) the squares lose precision or underflow, so those cells
     take |F| from ``np.hypot``.
     """
-    x, y = g[i0:i1], g[i0:]
-    cols = np.stack([np.ones(y.size), y.real, y.imag])
-    re = np.stack([np.ones(x.size), -r * x.real, -r * x.imag], axis=1) @ cols
-    im = np.stack([r * x.imag, -r * x.real], axis=1) @ cols[1:]
-    logmod = np.square(re)
-    logmod += np.square(im)
-    tiny = np.flatnonzero(logmod < LOG_FLOOR)
-    mod = np.hypot(re.ravel()[tiny], im.ravel()[tiny])
-    del re, im
-    logmod.ravel()[tiny] = 1.0
-    np.log(logmod, out=logmod)
-    logmod *= 0.5
-    logmod.ravel()[tiny] = np.log(np.maximum(mod, LOG_FLOOR))
-    below = mod < LOG_FLOOR
-    right = tiny % logmod.shape[1] >= i1 - i0
-    return logmod, int(np.count_nonzero(below) + np.count_nonzero(below & right))
-
-
-def _pair_real(u: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Re(u(x) conj(u(y))) on the rows i0:i1 and columns i0: of the pair
-    grid, one real matrix product of rank 2."""
-    x, y = u[i0:i1], u[i0:]
-    return np.stack([x.real, x.imag], axis=1) @ np.stack([y.real, y.imag])
+    n = g.size
+    blocks = list(_triangle_blocks(n))
+    cells = max((i1 - i0) * (n - i0) for i0, i1 in blocks)
+    rows = np.stack([np.ones(n), -r * g.real, -r * g.imag], axis=1)
+    rows_im = np.stack([r * g.imag, -r * g.real], axis=1)
+    cols = np.stack([np.ones(n), g.real, g.imag])
+    if u is not None:
+        u_rows, u_cols = np.stack([u.real, u.imag], axis=1), np.stack([u.real, u.imag])
+    # One array each, not one 4-row array: freeing a 2 MiB array raised glibc's
+    # mmap threshold, and the preset-sweep benchmark's peak RSS by 1 MiB.
+    scratch = [np.empty(cells) for _ in range(4)]  # for the largest block, not the first
+    for i0, i1 in blocks:
+        re, im, logmod, pair = (a[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0) for a in scratch)
+        np.matmul(rows[i0:i1], cols[:, i0:], out=re)
+        np.matmul(rows_im[i0:i1], cols[1:, i0:], out=im)
+        np.square(re, out=logmod)
+        logmod += np.square(im, out=im)
+        tiny = np.flatnonzero(logmod < LOG_FLOOR) if logmod.min() < LOG_FLOOR else None
+        if tiny is not None:
+            np.matmul(rows_im[i0:i1], cols[1:, i0:], out=im)  # squared in place above
+            mod = np.hypot(re.ravel()[tiny], im.ravel()[tiny])
+            logmod.ravel()[tiny] = 1.0
+        np.log(logmod, out=logmod)
+        logmod *= 0.5
+        floored = 0
+        if tiny is not None:
+            logmod.ravel()[tiny] = np.log(np.maximum(mod, LOG_FLOOR))
+            below = mod < LOG_FLOOR
+            right = tiny % (n - i0) >= i1 - i0
+            floored = int(np.count_nonzero(below) + np.count_nonzero(below & right))
+        if u is not None:
+            np.matmul(u_rows[i0:i1], u_cols[:, i0:], out=pair)
+        yield i0, i1, logmod, floored, None if u is None else pair
 
 
 def log_integral_bound_check(
@@ -348,8 +361,7 @@ def log_integral_bound_check(
     for r in rs:
         whole = on_E = 0.0
         excluded = 0
-        for i0, i1 in _triangle_blocks(total):
-            abslog, below = _log_kernel_modulus(g, r, i0, i1)
+        for i0, i1, abslog, below, _ in _pair_sweep(g, r):
             excluded += below
             np.abs(abslog, out=abslog)
             abslog[:, i1 - i0:] *= 2.0
@@ -442,9 +454,8 @@ def abel_series_check(
         _cap_double_grid(u.size)
         g = masked_integrand(E, nu, 1, 0)  # f/|f| e^{-2 pi i nu.x}, the integrand of b_{1,1}
         total = 0.0
-        for i0, i1 in _triangle_blocks(u.size):
-            pair = _pair_real(u, i0, i1)
-            pair *= _log_kernel_modulus(g, r, i0, i1)[0]
+        for i0, i1, logmod, _, pair in _pair_sweep(g, r, u):
+            pair *= logmod
             pair[:, i1 - i0:] *= 2.0
             total -= csum(pair)
         rhs = 2.0 * total / sampling.size**2

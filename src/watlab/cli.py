@@ -143,8 +143,10 @@ def write_manifest(cfg: RunConfig, out: Path, subcommand: str, outputs: list[str
 def _load_run_config(args) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
+    cfg = None
     if args.config:
-        doc = load_config(args.config).raw
+        cfg = load_config(args.config)
+        doc = cfg.raw
     elif args.preset:
         if args.preset not in PRESET_NAMES:
             raise ConfigError(
@@ -163,7 +165,8 @@ def _load_run_config(args) -> RunConfig:
             if flag == "grid":  # decimal fields become ints; the config refuses the rest
                 value = [int(v) if v.isdecimal() else v for v in value.split(",")]
             doc[field] = value
-    cfg = RunConfig.from_dict(doc)
+            cfg = None  # the overlaid document is parsed again
+    cfg = cfg or RunConfig.from_dict(doc)
     k = getattr(args, "k", 0)
     if abs(k) > cfg.k_window:
         raise ConfigError(f"--k {k} lies outside the k window -{cfg.k_window}..{cfg.k_window}")

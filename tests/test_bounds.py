@@ -379,18 +379,42 @@ def test_abel_zero_kernel_symbol_finite(small_blocks):
 
 
 @pytest.mark.parametrize("i0, i1", [(0, 3), (0, 1)])
-def test_kernel_floor_is_on_the_modulus(i0, i1):
+def test_kernel_floor_is_on_the_modulus(monkeypatch, i0, i1):
     """A cell is floored and counted exactly when |F| < LOG_FLOOR, also where
     re^2 + im^2 underflows: |F| = 1e-200 keeps its log, |F| = 1e-310 and 0
     are floored.  A cell right of the block's square counts twice."""
     g = np.array([1.0, 1.0 + 1e-200j, 1.0 + 1e-310j])
     mods = np.abs(1.0 - np.outer(g, np.conj(g)))
     assert sorted(set(mods.ravel().tolist())) == [0.0, 1e-310, 1e-200]
-    logmod, excluded = bounds._log_kernel_modulus(g, 1.0, i0, i1)
+    monkeypatch.setattr(bounds, "PAIR_BLOCK_CELLS", 3 * i1)
+    _, _, logmod, excluded, _ = next(bounds._pair_sweep(g, 1.0))
     assert logmod.tolist() == np.log(np.maximum(mods[i0:i1, i0:], LOG_FLOOR)).tolist()
     below = mods[i0:i1, i0:] < LOG_FLOOR
     assert excluded == np.count_nonzero(below) + np.count_nonzero(below[:, i1 - i0:])
     assert excluded == (5 if i1 == 3 else 3)
+
+
+# |F| is 0, 1e-310 and 1e-200 among 1, 1 + 1e-200i and 1 + 1e-310i, and 1
+# wherever a 0 takes part; with 24-cell blocks the 8 cells sweep in blocks of
+# 3, 4 and 1 rows, so the first block is the largest.
+@pytest.mark.parametrize("first", [True, False], ids=["first-block", "later-blocks"])
+def test_pair_sweep_floor_on_reused_scratch(monkeypatch, first):
+    """Floored cells in the first block only, or in later blocks only: every
+    block equals its part of the whole outer product, so no floored cell
+    index and no scratch value of one block leaks into another."""
+    special = [1.0, 1.0 + 1e-200j, 1.0 + 1e-310j]
+    g = np.array(special + [0.0] * 5 if first else [0.0] * 5 + special)
+    mods = np.abs(1.0 - np.outer(g, np.conj(g)))
+    monkeypatch.setattr(bounds, "PAIR_BLOCK_CELLS", 24)
+    blocks, floored = [], 0
+    for i0, i1, logmod, below, pair in bounds._pair_sweep(g, 1.0, g):
+        assert logmod.tolist() == np.log(np.maximum(mods[i0:i1, i0:], LOG_FLOOR)).tolist()
+        assert pair.tolist() == np.outer(g, np.conj(g)).real[i0:i1, i0:].tolist()
+        assert (below > 0) == (i0 == 0 if first else i1 > 5)
+        blocks.append((i0, i1))
+        floored += below
+    assert blocks == [(0, 3), (3, 7), (7, 8)]
+    assert floored == np.count_nonzero(mods < LOG_FLOOR) == 5
 
 
 @pytest.mark.parametrize("f, N, n_trunc, grid, e_tol", [

@@ -654,6 +654,31 @@ def test_grid_check_samples_its_grid_once_per_entry(tmp_path, monkeypatch):
     assert calls[(256, 256)] == 3
 
 
+def test_config_file_is_parsed_once(tmp_path, monkeypatch):
+    """A --config file with no flag overlaid is validated once, each entry
+    resolved once; an overlaid field is parsed again, and the file's own
+    malformed field is still refused under the flag that overrides it."""
+    from watlab import config
+
+    calls = []
+    resolve = config._resolve_check
+
+    def counting(entry, *rest):
+        calls.append(entry)
+        return resolve(entry, *rest)
+
+    monkeypatch.setattr(config, "_resolve_check", counting)
+    doc = preset_config("blaschke-half")
+    assert len(doc["checks"]) == 8
+    cfg = write_config(tmp_path, doc)
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(calls) == 8
+    bad = write_config(tmp_path, dict(doc, n_max="64"), name="bad.json")
+    fresh = tmp_path / "bad"
+    assert run(["check", "--config", bad, "--n-max", "32", "--out", str(fresh)]) == cli.EXIT_USAGE
+    assert not fresh.exists()
+
+
 # The parameters a bare {"id": X} has always expanded to, on a table with
 # k window 1 (alpha and gamma are the q = 1 constants).
 ALPHA_1 = 1.0 / math.log(3.0)
