@@ -16,7 +16,8 @@ cells, and count each cell right of the diagonal twice.
 They add the ``csum`` of each block to a running total and never hold the
 whole grid.  Their values depend on the block size only at rounding level.
 One generator, _pair_sweep, walks a grid's blocks in one scratch, allocated
-once per sweep and reused from block to block.
+once per sweep and reused from block to block.  Their time grows with the
+square of the grid, which the run config caps (config.MAX_DOUBLE_GRID_POINTS).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .accum import csum
 from .coeffs import DiagonalTable, abs2, compute_b_table, masked_integrand
 from .iterlog import big_l, find_constants, log_iter, sample_ladder
 from .lattice import HalfSpace
-from .symbols import DEFAULT_E_TOL, SymbolError, TrigSymbol, grid_phase, unit_modulus_set
+from .symbols import DEFAULT_E_TOL, TrigSymbol, grid_phase, unit_modulus_set
 
 DEFAULT_ENTRY_TOL = 1e-9
 DEFAULT_SZEGO_TOL = 1e-6
@@ -45,13 +46,11 @@ LOG_FLOOR = 1e-300
 # log integral by O(37/G) per node.  Moduli below this level are excluded
 # from the log|f| quadrature and counted.
 ZERO_NODE_FLOOR = 1e-12
-MAX_DOUBLE_GRID_POINTS = 2048
 # Cells of one triangle block of a pair grid: 512 KiB per real array.  The
 # block size bounds a double-grid check's memory, three or four such arrays
-# of scratch whatever its grid; MAX_DOUBLE_GRID_POINTS bounds its time, which
-# grows with the square.  The block partition fixes which cells each csum
-# adds, and so the last bits of every pair sum: another size would change
-# lhs, rhs and the bytes of reports.jsonl at rounding level.
+# of scratch whatever its grid.  The block partition fixes which cells each
+# csum adds, and so the last bits of every pair sum: another size would
+# change lhs, rhs and the bytes of reports.jsonl at rounding level.
 PAIR_BLOCK_CELLS = 2**16
 
 
@@ -87,15 +86,16 @@ class BoundReport:
 
 
 def theorem_constant(f0hat: complex) -> float:
-    """The constant log(16 / |f-hat(0)|^4) controlling all the mean bounds."""
+    """The constant log(16 / |f-hat(0)|^4) controlling all the mean bounds,
+    as log 16 - 4 log|f-hat(0)|: the quotient overflows for a tiny f-hat(0)."""
     mod = abs(f0hat)
     if mod == 0.0:
         raise HypothesisViolation("constant undefined: f-hat(0) = 0")
-    return math.log(16.0 / mod**4)
+    return math.log(16.0) - 4.0 * math.log(mod)
 
 
 def _f0(f: TrigSymbol) -> complex:
-    """f-hat(0), which the bounds below divide by."""
+    """f-hat(0), whose log szego_check takes."""
     f0 = f.coefficient_at_zero()
     if f0 == 0:
         raise HypothesisViolation("f-hat(0) = 0")
@@ -268,11 +268,6 @@ def szego_check(
 # -- double-integral machinery -------------------------------------------------
 
 
-def _cap_double_grid(cells: int) -> None:
-    if cells > MAX_DOUBLE_GRID_POINTS:
-        raise SymbolError(f"double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} cells, got {cells}")
-
-
 def _triangle_blocks(n: int):
     """Row blocks (i0, i1) of the upper triangle of an n x n pair grid, in
     order: rows i0:i1 over columns i0:, each of at most PAIR_BLOCK_CELLS
@@ -347,10 +342,9 @@ def log_integral_bound_check(
     log(4 / (r |f-hat(0)|^2)), one report per r of ``rs``."""
     for r in rs:
         _check_r(r)
-    f0 = _f0(f)
+    C = theorem_constant(f.coefficient_at_zero())
     sampling = f.evaluate_on_grid(resolution)
     total = sampling.size
-    _cap_double_grid(total)
     phase = grid_phase(sampling.shape, nu).ravel()
     g = sampling.ravel() * np.exp(-2j * np.pi * phase)
     # restriction to E x E can only shrink the integral; recorded for reference
@@ -369,7 +363,7 @@ def log_integral_bound_check(
             if not full_E:
                 on_E += csum(abslog[np.ix_(mask[i0:i1], mask[i0:])])
         lhs = whole / total**2
-        rhs = math.log(4.0 / (r * abs(f0) ** 2))
+        rhs = C / 2 - math.log(r)
         details = {"excluded_nodes": excluded, "floor": LOG_FLOOR,
                    "lhs_restricted_to_E": lhs if full_E else on_E / total**2}
         reports.append(BoundReport("log_integral_bound", {"r": r, "resolution": res}, lhs, rhs,
@@ -434,11 +428,11 @@ def abel_series_check(
     integrand does, so the closed form holds on a tolerance-widened E too.
     """
     _check_r(r)
-    f0 = _f0(f)
+    C = theorem_constant(f.coefficient_at_zero())
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
     table = compute_b_table(f, E, nu, (N - n_trunc, N + n_trunc), [k])
-    series_bound = math.log(16.0 / (r**2 * abs(f0) ** 4))
+    series_bound = C - 2.0 * math.log(r)
 
     # rows N - n_trunc .. N + n_trunc; n = 1..n_trunc pairs row N + n with N - n
     col = table.abs2_column(k)
@@ -451,7 +445,6 @@ def abel_series_check(
         rhs = 0.0
     else:
         u = masked_integrand(E, nu, N, k)
-        _cap_double_grid(u.size)
         g = masked_integrand(E, nu, 1, 0)  # f/|f| e^{-2 pi i nu.x}, the integrand of b_{1,1}
         total = 0.0
         for i0, i1, logmod, _, pair in _pair_sweep(g, r, u):

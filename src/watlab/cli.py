@@ -4,8 +4,9 @@ exploratory probes, and report emission.
 
 Exit codes: 0 all enabled checks pass, 2 a check failed (for ``constants``,
 the Cauchy mean-value lemma), 64 invalid usage, config or grid (too coarse
-for a table, or too large for a double-grid check), or a check that reads
-the table outside it (a k outside the window, a block [M, M+p] past n_max),
+for a table, or a log_integral or abel grid of more than 2^14 cells, refused
+as the config loads), or a check that reads the table outside it (a k
+outside the window, a block [M, M+p] past n_max),
 65 a hypothesis of the verified inequalities is violated by the configured
 symbol (sup norm above 1, f-hat(0) = 0, spectrum not vanishing on the
 half-space, or nu outside the reflected half-space).

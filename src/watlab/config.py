@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .bounds import _cap_double_grid
 from .coeffs import k_values_for_window
 from .iterlog import DomainError, positivity_threshold
 from .lattice import HalfSpace, LatticeError
@@ -20,6 +19,10 @@ from .symbols import (
 )
 
 SCHEMA_VERSION = 1
+# Cells of a log_integral or abel grid.  A pair-grid check's time grows with
+# the square of its grid (at 2^14 cells, about 1.5 s for log_integral at two
+# r on one x86 thread), so a run refuses a larger grid as its config loads.
+MAX_DOUBLE_GRID_POINTS = 2**14
 
 
 class ConfigError(ValueError):
@@ -134,15 +137,16 @@ def check_q(q) -> None:
 
 
 def _check_grid(cid: str, c: dict, symbol: TrigSymbol, nu: tuple[int, ...]) -> None:
-    """Refuse a check grid with the wrong axes, above log_integral's cap or
-    (but for szego on d=1) below what the symbol and identity's or abel's rows need."""
+    """Refuse a check grid with the wrong axes, a log_integral or abel grid of
+    more than MAX_DOUBLE_GRID_POINTS cells, or a grid (but for szego on d=1)
+    below what the symbol and identity's or abel's rows need."""
     try:
         res = check_resolution(c["grid"], symbol.dimension)
-        # abel is capped on |E|, known only once f is evaluated
-        if cid == "log_integral":
-            _cap_double_grid(math.prod(res))
     except SymbolError as exc:
         raise ConfigError(f"check {cid!r}: {exc}") from exc
+    cells = math.prod(res)
+    _require(cid not in ("log_integral", "abel") or cells <= MAX_DOUBLE_GRID_POINTS,
+             f"check {cid!r}: double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} cells, got {cells}")
     if cid == "szego" and symbol.dimension == 1:
         return
     n_abs = k_abs = 0

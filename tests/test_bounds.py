@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from watlab import bounds
+from watlab import bounds, coeffs
 from watlab.bounds import (
     LOG_FLOOR,
     HypothesisViolation,
@@ -435,6 +435,28 @@ def test_abel_series_side_matches_fsum(f, N, n_trunc, grid, e_tol):
     want = math.fsum(terms)
     assert rep.lhs == pytest.approx(want, rel=1e-14, abs=0)
     assert rep.details["max_partial_sum"] == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("grid", [4096, 8192])
+@pytest.mark.parametrize("r", [0.5, 0.9])
+def test_log_integral_matches_fourier_series(r, grid):
+    """Past the pair grids the outer-product tests reach.  Where |f| = 1,
+    F(x, y) = 1 - r e^{i(theta(x) - theta(y))} with theta = arg f - 2 pi nu.x,
+    so with phi(t) = |log|1 - r e^{it}|| = sum_j phi-hat_j e^{ijt} the pair
+    sum is sum_j phi-hat_j |b_{j,j}|^2, b_{j,j} = G^{-1} sum_x e^{ij theta(x)}.
+    phi-hat comes from a 2^20-point FFT and b_{j,j}, |j| <= 4096, from the
+    NUFFT, an exact grid sum at any j; phi-hat_j decays as j^-2 (phi has
+    kinks), and the two sides met to 2.2e-10 at worst."""
+    f = TrigSymbol.blaschke([0.5])
+    J, M = 4096, 2**20
+    phase, theta = coeffs._masked_geometry(unit_modulus_set(f.evaluate_on_grid(grid), 1e-9), (1,))
+    assert theta.size == grid  # E is the whole grid
+    b = coeffs._nufft_type1(theta, phase, [0], -J, J)[:, 0] / grid
+    t = 2 * np.pi * np.arange(M) / M
+    phi_hat = np.fft.fft(np.abs(np.log(np.abs(1 - r * np.exp(1j * t))))).real / M
+    series = math.fsum((phi_hat[np.arange(-J, J + 1) % M] * np.abs(b) ** 2).tolist())
+    (rep,) = log_integral_bound_check(f, (1,), [r], grid)
+    assert abs(rep.lhs - series) <= 1e-9
 
 
 # -- the Cauchy mean-value lemma -----------------------------------------------

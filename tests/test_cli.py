@@ -225,7 +225,8 @@ def test_flag_overrides_recorded(tmp_path):
 # Check entries the config refuses before a table is built.  Grids a check
 # cannot take: above the double-grid cap, or not a power of two.
 BAD_GRID_ENTRIES = (
-    {"id": "log_integral", "grid": 4096},
+    {"id": "log_integral", "grid": 32768},
+    {"id": "abel", "grid": 32768},
     {"id": "identity", "grid": 100},
 )
 # Unknown check ids and parameters, scalars for list-valued parameters, and a
@@ -298,8 +299,7 @@ def test_usage_errors(tmp_path, capsys):
     def check(*args):
         return run(["check", *args, "--out", str(tmp_path / "out")])
 
-    # abel's cap is on the cells of E, so a run refuses it, not the config
-    for entry in ({"id": "abel", "grid": 4096}, *BAD_GRID_ENTRIES):
+    for entry in BAD_GRID_ENTRIES:
         cfg = write_config(tmp_path, small_preset(checks=[entry]), "grid.json")
         assert check("--config", cfg) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
@@ -403,16 +403,13 @@ def test_config_numbers_follow_one_rule(tmp_path, capsys, doc, message):
 
 def test_check_reading_outside_the_table_is_a_config_error(tmp_path, capsys):
     """A check that reads the table outside it exits 64, as a config error:
-    a k outside the window, or a block [M, M+p] past n_max.  So does abel
-    over more than 2048 cells of E (3313 of the arc config's grid 16384).
+    a k outside the window, or a block [M, M+p] past n_max.
     A check that raises leaves no --out directory."""
     for i, (doc, message) in enumerate((
         (small_preset(checks=[{"id": "weighted_series", "N": [0], "k": [5]}]),
          "error: k=5 outside table window"),
         (small_preset(checks=[{"id": "mean_ii", "M": 30, "p": [10], "k": [0]}]),
          "error: n=40 outside table range [1, 32]"),
-        (dict(ARC_CONFIG, checks=[{"id": "abel", "grid": 16384}]),
-         "error: double-grid check needs <= 2048 cells, got 3313"),
     )):
         out = tmp_path / f"out{i}"
         assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_USAGE
@@ -420,10 +417,33 @@ def test_check_reading_outside_the_table_is_a_config_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_family("blaschke", zeros=[[1e-100, 0.0]]), id="f0-1e-100"),
+    pytest.param(_family("blaschke", zeros=[[1e-80, 0.0]]), id="f0-1e-80"),
+    pytest.param(small_preset(checks=[{"id": "log_integral", "r": [5e-324]}]), id="log_integral-r"),
+    pytest.param(small_preset(checks=[{"id": "abel", "r": 1e-300}]), id="abel-r"),
+])
+def test_tiny_f0_or_r_gives_finite_bounds(tmp_path, doc):
+    """The constant log(16 / |f-hat(0)|^4) and the bounds built on it stay
+    finite for any admissible f-hat(0) and r, so no quotient overflows to
+    Infinity in reports.jsonl or divides by zero."""
+    out = tmp_path / "out"
+    assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "reports.jsonl").read_text().splitlines()
+    assert lines
+    for line in lines:
+        rep = json.loads(line, parse_constant=_reject_constant)
+        assert math.isfinite(rep["rhs"])
+
+
 def test_identity_beyond_double_grid_cap(tmp_path, capsys):
-    """identity sums its integrand once, so E may exceed the 2048 cells
-    that bound the pair-grid checks."""
-    checks = [{"id": "identity", "n": list(range(1, 17)), "k": list(range(-3, 4)), "grid": 4096}]
+    """identity sums its integrand once, so its grid may exceed the 2^14
+    cells that bound the pair-grid checks."""
+    checks = [{"id": "identity", "n": list(range(1, 17)), "k": list(range(-3, 4)), "grid": 32768}]
     cfg = write_config(tmp_path, small_preset(checks=checks))
     assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "112/112 checks passed"
@@ -447,16 +467,18 @@ def test_module_entry_point(tmp_path):
 
 def test_bad_check_grid_exits_before_table(tmp_path, capsys):
     """A check grid that is no power of two, has the wrong number of axes
-    for the symbol, or is too large for log_integral is refused before
-    table.csv is written."""
+    for the symbol, or is too large for log_integral or abel is refused
+    before table.csv is written."""
     fresh = tmp_path / "fresh"
     for i, (entry, message) in enumerate((
         ({"id": "identity", "grid": -4}, "resolutions must be powers of two >= 2, got (-4,)"),
         ({"id": "log_integral", "grid": 100}, "resolutions must be powers of two >= 2, got (100,)"),
         ({"id": "identity", "grid": [256, 256]}, "resolution has 2 axes, symbol has 1"),
         ({"id": "szego", "grid": [4096, 4096]}, "resolution has 2 axes, symbol has 1"),
-        ({"id": "log_integral", "grid": 4096},
-         "double-grid check needs <= 2048 cells, got 4096"),
+        ({"id": "log_integral", "grid": 32768},
+         "double-grid check needs <= 16384 cells, got 32768"),
+        ({"id": "abel", "grid": 32768},
+         "double-grid check needs <= 16384 cells, got 32768"),
     )):
         cfg = write_config(tmp_path, small_preset(checks=[entry]), f"g{i}.json")
         assert run(["check", "--config", cfg, "--out", str(fresh)]) == cli.EXIT_USAGE
@@ -504,6 +526,14 @@ def test_partial_e_checks_pass(tmp_path, capsys):
     cfg = write_config(tmp_path, ARC_CONFIG)
     assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "12/12 checks passed"
+
+
+def test_abel_on_an_arc_runs_at_the_pair_grid_cap(tmp_path, capsys):
+    """The pair-grid cap is on the grid's cells, not on those of E: abel on
+    the arc config at grid 2^14, where E holds 3313 cells, runs and passes."""
+    cfg = write_config(tmp_path, dict(ARC_CONFIG, checks=[{"id": "abel", "grid": 16384}]))
+    assert run(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
 
 
 def test_coarse_abel_grid_exits_usage(tmp_path, capsys):
