@@ -198,8 +198,6 @@ def check_mean_bound_iv(
     denom = big_l(q, p + gamma) * (
         log_iter(q + 1, p + 1 + gamma) - log_iter(q + 1, 1 + gamma)
     )
-    if denom <= 0:
-        raise HypothesisViolation(f"p={p} too small for log_{q+1} positivity")
     rhs = (C / (1.0 - alpha)) / denom
     return BoundReport(
         check_id="mean_iv",

@@ -3,18 +3,17 @@ the config's check entries (validated and resolved by watlab.config),
 exploratory probes, and report emission.
 
 Exit codes: 0 all enabled checks pass, 2 a check failed (for ``constants``,
-the Cauchy mean-value lemma), 64 invalid usage, config or grid (too coarse
-for a table, or a log_integral or abel grid of more than 2^14 cells, refused
-as the config loads), or a check that reads the table outside it (a k
-outside the window, a block [M, M+p] past n_max),
-65 a hypothesis of the verified inequalities is violated by the configured
-symbol (sup norm above 1, f-hat(0) = 0, spectrum not vanishing on the
-half-space, or nu outside the reflected half-space).
+the Cauchy mean-value lemma), 64 invalid usage, config, grid or table read,
+all refused before the symbol is sampled, 65 a hypothesis of the verified
+inequalities is violated by the configured symbol (sup norm above 1,
+f-hat(0) = 0, spectrum not vanishing on the half-space, or nu outside the
+reflected half-space).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -35,14 +34,12 @@ from .bounds import (
     szego_check,
     theorem_constant,
 )
-from .coeffs import TableError, compute_b_table
+from .coeffs import TableError, check_table, compute_b_table
 from .config import ConfigError, RunConfig, check_q, load_config
 from .explorer import decay_fit, tail_series
 from .iterlog import find_constants, positivity_threshold
 from .presets import PRESET_NAMES, preset_config
-from .symbols import (
-    SymbolError, check_resolution, fit_grid, required_grid, sup_norm, unit_modulus_set,
-)
+from .symbols import SymbolError, sup_norm, unit_modulus_set
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -83,10 +80,7 @@ def build_table(cfg: RunConfig, sampling=None):
     if sampling is None:
         sampling = cfg.symbol.evaluate_on_grid(cfg.grid)
     E = unit_modulus_set(sampling, cfg.e_tol)
-    table = compute_b_table(
-        cfg.symbol, E, cfg.nu, (cfg.n_min, cfg.n_max), cfg.k_window
-    )
-    return table
+    return compute_b_table(cfg.symbol, E, cfg.nu, (cfg.n_min, cfg.n_max), cfg.k_window)
 
 
 # Check id -> its verifier, which takes (cfg, table, C, the entry as config
@@ -111,12 +105,10 @@ CHECKS = {
 }
 
 
-def run_checks(cfg: RunConfig, table, only: set[str] | None = None) -> list[BoundReport]:
+def run_checks(cfg: RunConfig, table) -> list[BoundReport]:
     C = theorem_constant(cfg.symbol.coefficient_at_zero())
     reports: list[BoundReport] = []
     for check in cfg.checks:
-        if only is not None and check["id"] not in only:
-            continue
         reports.extend(CHECKS[check["id"]](cfg, table, C, check))
     reports.sort(key=lambda r: (r.check_id, json.dumps(r.params, sort_keys=True)))
     return reports
@@ -168,15 +160,25 @@ def _load_run_config(args) -> RunConfig:
             doc[field] = value
             cfg = None  # the overlaid document is parsed again
     cfg = cfg or RunConfig.from_dict(doc)
-    k = getattr(args, "k", 0)
-    if abs(k) > cfg.k_window:
-        raise ConfigError(f"--k {k} lies outside the k window -{cfg.k_window}..{cfg.k_window}")
-    ids = [c["id"] for c in cfg.checks]
-    only = getattr(args, "checks", None)
-    only = only.split(",") if only else []
-    idle = [cid for cid in only if cid not in ids]
-    if idle:
-        raise ConfigError(f"--checks names {idle}, which the config does not run: {ids}")
+    if getattr(args, "checks", None):  # the run keeps the named checks; raw keeps them all
+        only, ids = args.checks.split(","), [c["id"] for c in cfg.checks]
+        idle = [cid for cid in only if cid not in ids]
+        if idle:
+            raise ConfigError(f"--checks names {idle}, which the config does not run: {ids}")
+        cfg = dataclasses.replace(cfg, checks=[c for c in cfg.checks if c["id"] in only])
+    # the run's reads of its table, as (who, diagonals, first row, last row)
+    reads = [("--k", [args.k], cfg.n_min, cfg.n_max)] if args.subcommand == "explore" else []
+    for c in cfg.checks if args.subcommand == "check" else []:
+        if "grid" not in c:  # a check without a grid of its own reads the table
+            lo, hi = (c["M"], c["M"] + max(c["p"])) if "M" in c else (cfg.n_min, cfg.n_max)
+            reads.append((f"check {c['id']!r}", c["k"], lo, hi))
+    w = cfg.k_window
+    for who, ks, lo, hi in reads:
+        outside = [f"diagonal k={k}, outside the k window -{w}..{w}" for k in ks if abs(k) > w]
+        outside += [f"row n={n}, outside the n range {cfg.n_min}..{cfg.n_max}"
+                    for n in (lo, hi) if not cfg.n_min <= n <= cfg.n_max]
+        if outside:
+            raise ConfigError(f"{who} reads {outside[0]}")
     return cfg
 
 
@@ -230,12 +232,11 @@ def _cmd_szego(args) -> int:
 
 
 def _build(args):
-    """Load the run config, refuse a run grid too coarse for its rows and k
-    window, gate the config and build the table; returns (cfg, out, table),
-    ``out`` not yet created, so that a run that fails leaves none."""
+    """Load the run config and judge its table (check_table) before anything
+    is sampled, then gate the config and build the table; returns (cfg, out,
+    table), ``out`` not yet created, so that a run that fails leaves none."""
     cfg = _load_run_config(args)
-    need = required_grid(cfg.symbol, cfg.nu, max(abs(cfg.n_min), abs(cfg.n_max)), cfg.k_window)
-    fit_grid(check_resolution(cfg.grid, cfg.symbol.dimension), need, "characters up to (n-k)nu")
+    check_table(cfg.symbol, cfg.nu, (cfg.n_min, cfg.n_max), cfg.k_window, cfg.grid)
     sampling = verify_hypotheses(cfg)
     return cfg, Path(args.out), build_table(cfg, sampling)
 
@@ -251,8 +252,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg, out, table = _build(args)
-    only = set(args.checks.split(",")) if args.checks else None
-    reports = run_checks(cfg, table, only=only)
+    reports = run_checks(cfg, table)
     # after the checks, so that a check that raises leaves no --out
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "table.csv", meta={"config_sha256": cfg.sha256()})

@@ -16,7 +16,8 @@ Fourier transform, found by Gauss-Legendre quadrature.  np.bincount and
 np.fft reduce in a fixed order, so tables are bit-identical across runs.
 brute_force_b sums the same integrand cell by cell.  Both refuse a grid
 that cannot resolve f and the characters (n-k) nu, by the one rule
-symbols.fit_grid(required_grid(...)), the oracle before it samples.
+symbols.fit_grid(required_grid(...)): the table in check_table, which a run
+asks before it samples, the oracle before it samples.
 """
 
 from __future__ import annotations
@@ -247,13 +248,9 @@ def _nufft_type1(
     return (spectrum * (2 * np.pi / _kernel_transform(m, h, width))).T
 
 
-def compute_b_table(
-    f: TrigSymbol,
-    E: UnitModulusSet,
-    nu: Sequence[int],
-    n_range: tuple[int, int],
-    k_window,
-) -> DiagonalTable:
+def check_table(f: TrigSymbol, nu, n_range, k_window, resolution) -> tuple:
+    """Judge a table request before anything is sampled (TableError, or
+    ResolutionError for a grid too coarse); returns nu, n_min, n_max, k values."""
     nu = tuple(int(v) for v in nu)
     if len(nu) != f.dimension:
         raise TableError("nu dimension mismatch")
@@ -264,10 +261,21 @@ def compute_b_table(
     rows = n_max - n_min + 1
     if rows * len(k_values) > MAX_TABLE_ENTRIES:
         raise TableError(f"{rows} x {len(k_values)} table entries exceed {MAX_TABLE_ENTRIES}")
-    res = E.sampling.shape
     n_abs, k_abs = max(abs(n_min), abs(n_max)), max(map(abs, k_values), default=0)
-    fit_grid(res, required_grid(f, nu, n_abs, k_abs), "characters up to (n-k)nu")
+    fit_grid(resolution, required_grid(f, nu, n_abs, k_abs), "characters up to (n-k)nu")
+    return nu, n_min, n_max, k_values
 
+
+def compute_b_table(
+    f: TrigSymbol,
+    E: UnitModulusSet,
+    nu: Sequence[int],
+    n_range: tuple[int, int],
+    k_window,
+) -> DiagonalTable:
+    res = E.sampling.shape
+    nu, n_min, n_max, k_values = check_table(f, nu, n_range, k_window, res)
+    rows = n_max - n_min + 1
     degenerate = E.measure <= DEGENERATE_MEASURE_FACTOR / min(res)
     if degenerate:
         values = np.zeros((rows, len(k_values)), dtype=np.complex128)

@@ -136,14 +136,20 @@ def check_q(q) -> None:
         raise ConfigError(f"q={q}: {exc}") from exc
 
 
+def _resolution(what: str, grid, dimension: int) -> tuple[int, ...]:
+    """check_resolution(grid, dimension), its SymbolError raised as a
+    ConfigError that names ``what``."""
+    try:
+        return check_resolution(grid, dimension)
+    except SymbolError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _check_grid(cid: str, c: dict, symbol: TrigSymbol, nu: tuple[int, ...]) -> None:
     """Refuse a check grid with the wrong axes, a log_integral or abel grid of
     more than MAX_DOUBLE_GRID_POINTS cells, or a grid (but for szego on d=1)
     below what the symbol and identity's or abel's rows need."""
-    try:
-        res = check_resolution(c["grid"], symbol.dimension)
-    except SymbolError as exc:
-        raise ConfigError(f"check {cid!r}: {exc}") from exc
+    res = _resolution(f"check {cid!r}", c["grid"], symbol.dimension)
     cells = math.prod(res)
     _require(cid not in ("log_integral", "abel") or cells <= MAX_DOUBLE_GRID_POINTS,
              f"check {cid!r}: double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} cells, got {cells}")
@@ -204,8 +210,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Validate ``doc`` and resolve its check entries.  Raises
-        ConfigError for a malformed document or entry, and ResolutionError
-        for a check grid too coarse for what the check samples."""
+        ConfigError for a malformed document, entry or run grid (one that
+        check_resolution refuses), and ResolutionError for a check grid too
+        coarse for what the check samples."""
         _require(isinstance(doc, dict), "config must be a JSON object")
         schema = doc.get("schema", SCHEMA_VERSION)
         _require(schema == SCHEMA_VERSION, f"unsupported schema version {schema}")
@@ -220,8 +227,8 @@ class RunConfig:
         _require("nu" in doc, "config requires nu")
         nu = tuple(_checked("nu", _int_list, doc["nu"]))
         _require(len(nu) == symbol.dimension, "nu dimension mismatch")
-        grid = tuple(_checked("grid", _int_list, doc.get("grid", [4096] * symbol.dimension)))
-        _require(len(grid) == symbol.dimension, "grid dimension mismatch")
+        grid = _checked("grid", _int_list, doc.get("grid", [4096] * symbol.dimension))
+        grid = _resolution("grid", grid, symbol.dimension)
         n_min = _checked("n_min", is_int, doc.get("n_min", 1))
         n_max = _checked("n_max", is_int, doc.get("n_max", 256))
         _require(n_min <= n_max, "n_min must be <= n_max")
@@ -232,30 +239,11 @@ class RunConfig:
         checks = doc.get("checks", [])
         _require(isinstance(checks, list), "checks must be a list")
         resolved = [_resolve_check(c, symbol, nu, grid, k_window) for c in checks]
-        canonical = {
-            "schema": SCHEMA_VERSION,
-            "symbol": symbol.describe(),
-            "halfspace": halfspace.describe(),
-            "nu": list(nu),
-            "grid": list(grid),
-            "n_min": n_min,
-            "n_max": n_max,
-            "k_window": k_window,
-            "e_tol": e_tol,
-            "checks": checks,
-        }
-        return cls(
-            raw=canonical,
-            symbol=symbol,
-            halfspace=halfspace,
-            nu=nu,
-            grid=grid,
-            n_min=n_min,
-            n_max=n_max,
-            k_window=k_window,
-            e_tol=e_tol,
-            checks=resolved,
-        )
+        # the run fields as parsed; raw holds them too, nu and grid as lists
+        run = dict(nu=nu, grid=grid, n_min=n_min, n_max=n_max, k_window=k_window, e_tol=e_tol)
+        raw = {**run, "schema": SCHEMA_VERSION, "symbol": symbol.describe(),
+               "halfspace": halfspace.describe(), "nu": list(nu), "grid": list(grid), "checks": checks}
+        return cls(raw=raw, symbol=symbol, halfspace=halfspace, checks=resolved, **run)
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

@@ -118,7 +118,7 @@ def test_explore_off_diagonal(tmp_path, capsys):
     capsys.readouterr()
     fresh = tmp_path / "fresh"
     assert run([*args, "--k", "5", "--k-window", "4", "--out", str(fresh)]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: --k 5 lies outside the k window")
+    assert capsys.readouterr().err.startswith("error: --k reads diagonal k=5, outside the k window -4..4\n")
     assert not (fresh / "table.csv").exists()
 
 
@@ -401,16 +401,20 @@ def test_config_numbers_follow_one_rule(tmp_path, capsys, doc, message):
     assert not (fresh / "table.csv").exists()
 
 
+# Table checks that read their table outside it, with the message they exit with.
+OUTSIDE_READS = (
+    (small_preset(checks=[{"id": "weighted_series", "N": [0], "k": [5]}]),
+     "error: check 'weighted_series' reads diagonal k=5, outside the k window -4..4\n"),
+    (small_preset(checks=[{"id": "mean_ii", "M": 30, "p": [10], "k": [0]}]),
+     "error: check 'mean_ii' reads row n=40, outside the n range 1..32\n"),
+)
+
+
 def test_check_reading_outside_the_table_is_a_config_error(tmp_path, capsys):
-    """A check that reads the table outside it exits 64, as a config error:
-    a k outside the window, or a block [M, M+p] past n_max.
-    A check that raises leaves no --out directory."""
-    for i, (doc, message) in enumerate((
-        (small_preset(checks=[{"id": "weighted_series", "N": [0], "k": [5]}]),
-         "error: k=5 outside table window"),
-        (small_preset(checks=[{"id": "mean_ii", "M": 30, "p": [10], "k": [0]}]),
-         "error: n=40 outside table range [1, 32]"),
-    )):
+    """A check that would read the table outside it exits 64, as a config
+    error, before the table is built: a k outside the window, or a block
+    [M, M+p] past n_max.  It leaves no --out directory."""
+    for i, (doc, message) in enumerate(OUTSIDE_READS):
         out = tmp_path / f"out{i}"
         assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith(message)
@@ -587,6 +591,63 @@ def test_from_dict_refuses_what_check_refuses(entry):
 def test_from_dict_refuses_coarse_check_grid(doc, grid):
     with pytest.raises(ResolutionError, match=f"smallest usable power-of-two grid: {grid}$"):
         RunConfig.from_dict(doc)
+
+
+# Runs refused as input: (argv without --out, a config written for --config
+# or None, a cap of watlab.coeffs lowered to 1024 or None).
+REFUSED_RUNS = [
+    *(pytest.param(["check"], small_preset(checks=[e]), None, id=f"{e['id']}-grid-{e['grid']}")
+      for e in BAD_GRID_ENTRIES),
+    *(pytest.param(["check"], p.values[0], None, id=p.id) for p in COARSE_GRIDS),
+    *(pytest.param(["check"], doc, None, id=f"read-{i}") for i, (doc, _) in enumerate(OUTSIDE_READS)),
+    pytest.param(["check", "--preset", "blaschke-half", "--n-min", "3"], None, None, id="n-min"),
+    pytest.param(["explore", "--preset", "blaschke-half", "--k", "5"], None, None, id="explore-k"),
+    pytest.param(["table", "--preset", "blaschke-half"], None, "MAX_TABLE_ENTRIES", id="entry-cap"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, cap", REFUSED_RUNS)
+def test_input_refusals_sample_nothing(tmp_path, capsys, monkeypatch, argv, doc, cap):
+    """Every refusal of input (exit 64) is made before the symbol is
+    sampled, so before the hypotheses are and before the table is built."""
+    from watlab.symbols import TrigSymbol
+
+    samplings = []
+    evaluate = TrigSymbol.evaluate_on_grid
+
+    def counting(self, resolution):
+        sampling = evaluate(self, resolution)
+        samplings.append(sampling.shape)  # a completed sampling
+        return sampling
+
+    monkeypatch.setattr(TrigSymbol, "evaluate_on_grid", counting)
+    if cap:
+        monkeypatch.setattr(watlab.coeffs, cap, 1024)
+    source = ["--config", write_config(tmp_path, doc)] if doc else []
+    out = tmp_path / "out"
+    assert run([*argv, *source, "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert samplings == []
+
+
+@pytest.mark.parametrize("grid, cells", [
+    pytest.param([1000], None, id="not-pow2"),
+    pytest.param([512, 512], None, id="two-axes-on-d1"),
+    pytest.param([512], 256, id="above-max-cells"),
+])
+def test_from_dict_refuses_the_run_grid_check_refuses(tmp_path, capsys, monkeypatch, grid, cells):
+    """RunConfig.from_dict refuses a run grid that ``watlab check`` refuses
+    for its form (axes, powers of two, MAX_GRID_CELLS), as a ConfigError."""
+    if cells:
+        monkeypatch.setattr(watlab.symbols, "MAX_GRID_CELLS", cells)
+    doc = small_preset(grid=grid)
+    with pytest.raises(ConfigError, match="^grid: "):
+        RunConfig.from_dict(doc)
+    out = tmp_path / "out"
+    assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: grid: ")
+    assert not out.exists()
 
 
 def test_szego_check_grid_below_nyquist_still_runs(tmp_path):
