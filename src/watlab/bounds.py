@@ -1,12 +1,12 @@
 """Verifiers for the decay inequalities and proof identities.
 
-Every verifier returns self-contained BoundReports: identifiers,
-parameters, both sides of the inequality, the margin, and truncation or
-quadrature metadata.  Truncated series of nonnegative terms are reported as
-lower bounds of the infinite sum, so a truncated pass is necessary but not
-sufficient; the report labels this explicitly.  A verifier takes only
-what a run config sets; its tolerance is a constant of this module.  The
-grid checks that take a list (identity's n and k, log_integral's r) sample
+Every verifier returns self-contained BoundReports: identifiers, parameters,
+both sides of the inequality, the margin, and truncation or quadrature metadata
+(mean_iii and the Cauchy lemma integrate by accum.log_quad).  Truncated series
+of nonnegative terms are reported, and labelled, as lower bounds of the
+infinite sum, so a truncated pass is necessary but not sufficient.  A verifier
+takes only what a run config sets; its tolerance is a constant of this module.
+The grid checks that take a list (identity's n and k, log_integral's r) sample
 their grid and find E once per call and return one report per point.
 
 The double-grid checks (log-integral bound, Abel series) sum functions of
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .accum import csum
+from .accum import csum, log_quad
 from .coeffs import DiagonalTable, abs2, compute_b_table, masked_integrand
 from .iterlog import big_l, find_constants, log_iter, sample_ladder
 from .lattice import HalfSpace
@@ -36,7 +36,6 @@ from .symbols import DEFAULT_E_TOL, TrigSymbol, grid_phase, unit_modulus_set
 
 DEFAULT_ENTRY_TOL = 1e-9
 DEFAULT_SZEGO_TOL = 1e-6
-DEFAULT_QUAD_RELTOL = 1e-8
 DEFAULT_LOG_BOUND_TOL = 5e-2
 # abel_series: the closed form's tolerance beyond the series tail bound
 ABEL_BASE_TOL = 1e-8
@@ -158,21 +157,12 @@ def check_mean_bound_iii(
     table: DiagonalTable, q: int, M: int, p: int, k: int, C: float
 ) -> BoundReport:
     """Weighted block bound with g = L_q and (alpha, gamma) = find_constants(q):
-    (integral_1^{p+1} dt / (t g(t+gamma))) * sum <= C/(1-alpha) * (p+gamma)/g(p+gamma)."""
-    # Imported here, not at module top: loading scipy.integrate takes about
-    # 0.6 s and 50 MiB, and only this check and cauchy_mvt integrate.
-    from scipy.integrate import quad
-
+    (integral_1^{p+1} dt / (t g(t+gamma))) * sum <= C/(1-alpha) * (p+gamma)/g(p+gamma),
+    the integral by accum.log_quad, whose error estimate is quad_abserr."""
     params = find_constants(q)
     alpha, gamma = params.alpha, params.gamma
     s = _block_sum(table, M, p, k)
-    integral, abserr = quad(
-        lambda t: 1.0 / (t * big_l(q, t + gamma)),
-        1.0,
-        p + 1.0,
-        epsrel=DEFAULT_QUAD_RELTOL,
-        limit=500,
-    )
+    integral, abserr = log_quad(lambda t: 1.0 / (t * big_l(q, t + gamma)), 1.0, p + 1.0)
     lhs = integral * s
     rhs = (C / (1.0 - alpha)) * (p + gamma) / big_l(q, p + gamma)
     return BoundReport(
@@ -477,23 +467,14 @@ def abel_series_check(
 
 
 def cauchy_mvt_bound_check(q: int) -> BoundReport:
-    """1/g(gamma) + integral_0^{x-gamma} dt/g(t+gamma) < x / ((1-alpha) g(x))
+    """1/g(gamma) + integral_gamma^x ds/g(s) (accum.log_quad) < x / ((1-alpha) g(x))
     for g = L_q and (alpha, gamma) = find_constants(q), at each x of
     sample_ladder(gamma) above gamma."""
-    from scipy.integrate import quad  # see check_mean_bound_iii
-
     params = find_constants(q)
     alpha, gamma = params.alpha, params.gamma
     rows = []
     for x in sample_ladder(gamma)[1:]:
-        integral, _ = quad(
-            lambda t: 1.0 / big_l(q, t + gamma),
-            0.0,
-            x - gamma,
-            epsrel=DEFAULT_QUAD_RELTOL,
-            limit=500,
-        )
-        left = 1.0 / big_l(q, gamma) + integral
+        left = 1.0 / big_l(q, gamma) + log_quad(lambda s: 1.0 / big_l(q, s), gamma, x)[0]
         right = x / ((1.0 - alpha) * big_l(q, x))
         rows.append({"x": x, "lhs": left, "rhs": right})
     worst = min(rows, key=lambda row: row["rhs"] - row["lhs"])

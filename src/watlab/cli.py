@@ -225,6 +225,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_szego(args) -> int:
     cfg = _load_run_config(args)
+    cfg.symbol.sampling_grid(cfg.grid)  # a grid too coarse for f exits 64, as for table
     verify_hypotheses(cfg)
     report = szego_check(cfg.symbol, cfg.halfspace, cfg.grid)
     print(json.dumps(report.to_dict(), sort_keys=True))

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 # perfbench/tracing.py wraps coeffs.csum_rows by name; nothing here calls it.
-from .accum import csum, csum_rows
+from .accum import csum, csum_rows, gauss_legendre
 from .symbols import (
     TrigSymbol,
     UnitModulusSet,
@@ -186,17 +186,8 @@ def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _es_quadrature(width: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes z and weights, each times phi(z), of the (4 width + 4)-point
-    Gauss-Legendre rule on [0, 1], read-only since every caller shares them.
-    The Legendre nodes come from Newton's method on the three-term
-    recurrence, started from Tricomi's estimate."""
-    count = 4 * width + 4
-    x = np.cos(np.pi * (np.arange(count) + 0.75) / (count + 0.5))
-    for _ in range(8):  # quadratic convergence: 3 steps reach rounding
-        p_prev, p = np.ones(count), x
-        for j in range(2, count + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = count * (x * p - p_prev) / (x * x - 1)
-        x = x - p / dp
+    Gauss-Legendre rule on [0, 1], read-only since every caller shares them."""
+    x, dp = gauss_legendre(4 * width + 4)
     z = (1 + x) / 2
     # the Legendre weight 2 / ((1 - x^2) P'(x)^2), halved for the map to [0, 1]
     weights = _es_kernel(z.copy(), width) / ((1 - x * x) * dp * dp)

@@ -158,10 +158,15 @@ class TrigSymbol:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_on_grid(self, resolution: Sequence[int] | int) -> np.ndarray:
-        """The samples of f on the uniform grid, an array shaped like it."""
+    def sampling_grid(self, resolution: Sequence[int] | int) -> tuple[int, ...]:
+        """The per-axis resolution of a grid that resolves f, else SymbolError."""
         res = check_resolution(resolution, self.dimension)
         fit_grid(res, self.min_resolution(), "the spectrum of f")
+        return res
+
+    def evaluate_on_grid(self, resolution: Sequence[int] | int) -> np.ndarray:
+        """The samples of f on the uniform grid, an array shaped like it."""
+        res = self.sampling_grid(resolution)
         if self.spectrum is not None:
             samples = np.zeros(res, dtype=np.complex128)
             for xi, c in self.spectrum:

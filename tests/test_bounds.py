@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from watlab import bounds, coeffs
 from watlab.bounds import (
@@ -70,12 +69,14 @@ def test_mean_ii(blaschke_half):
     assert rep1.lhs <= 1.0
 
 
-def test_mean_iii_integral_lower_bound():
-    # integral_1^{p+1} dt / (t log(t+3)) >= loglog(p+4) - loglog(4)
+def test_mean_iii_integral_lower_bound(blaschke_half):
+    # q = 1, gamma = 3: integral_1^{p+1} dt / (t log(t+3)) >= loglog(p+4) - loglog(4)
+    tab = make_table(blaschke_half, (1,), (1, 1001), 0, 4096)
     for p in (10, 1000):
-        integral, _ = quad(lambda t: 1 / (t * math.log(t + 3)), 1, p + 1, limit=200)
+        rep = check_mean_bound_iii(tab, 1, 1, p, 0, theorem_constant(0.5))
+        assert rep.params["gamma"] == 3.0
         lower = math.log(math.log(p + 4)) - math.log(math.log(4))
-        assert integral >= lower
+        assert rep.details["integral"] >= lower
 
 
 def test_mean_iii(blaschke_half):

@@ -658,36 +658,60 @@ def test_szego_check_grid_below_nyquist_still_runs(tmp_path):
     assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
 
 
-# Run in a fresh interpreter: this one has imported scipy.integrate already.
+# Run in a fresh interpreter: this one has imported scipy for the references.
 _IMPORT_PATH_SCRIPT = """
 import sys
 import watlab, watlab.cli
-assert "scipy.integrate" not in sys.modules, "loaded by import watlab"
 cfg, out = sys.argv[1:]
-args = ["check", "--config", cfg, "--out", out]
-assert watlab.cli.main(args + ["--checks", "weighted_series,mean_ii"]) == 0
-assert "scipy.integrate" not in sys.modules, "loaded by a run without mean_iii"
+assert watlab.cli.main(["check", "--config", cfg, "--out", out]) == 0
+assert watlab.cli.main(["constants", "1"]) == 0  # cauchy_mvt_bound_check(1)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"loaded by a run: {loaded}"
 assert "numpy.polynomial" not in sys.modules, "loaded by a table build"
-assert watlab.cli.main(args + ["--checks", "mean_iii"]) == 0
-assert "scipy.integrate" in sys.modules, "mean_iii ran without quad"
 """
 
 
-def test_scipy_integrate_loaded_only_by_quadrature_checks(tmp_path):
-    """Only mean_iii (and the cauchy_mvt lemma) integrate numerically;
-    importing watlab and running other checks leave scipy.integrate, which
-    takes about 0.6 s to import, unloaded.  The table engine finds its
-    Gauss-Legendre nodes itself and leaves numpy.polynomial unloaded."""
+def test_no_run_loads_scipy(tmp_path):
+    """No run imports scipy (scipy.integrate takes about 0.6 s): mean_iii and
+    the cauchy_mvt lemma integrate with accum.log_quad, and the table engine
+    finds its Gauss-Legendre nodes itself and leaves numpy.polynomial
+    unloaded.  The run takes every check id."""
     cfg = write_config(tmp_path, small_preset(checks=[
-        {"id": "weighted_series", "N": [0], "k": [0]},
-        {"id": "mean_ii", "p": [10], "k": [0]},
+        *small_preset()["checks"],
         {"id": "mean_iii", "q": 1, "p": [10], "k": [0]},
+        {"id": "mean_iv", "q": 2, "p": [10], "k": [0]},
+        {"id": "log_integral", "r": [0.5], "grid": 64},
+        {"id": "abel", "grid": 512},
     ]))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_SCRIPT, cfg, str(tmp_path / "out")],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_szego_refuses_coarse_grid_before_hypotheses(tmp_path, capsys, monkeypatch):
+    """szego judges its grid against f's spectrum before the hypotheses, so a
+    grid too coarse for f exits 64, as table does, even where f-hat(0) = 0
+    would exit 65, and nothing is sampled."""
+    from watlab.symbols import TrigSymbol
+
+    samplings = []
+    evaluate = TrigSymbol.evaluate_on_grid
+
+    def counting(self, resolution):
+        sampling = evaluate(self, resolution)
+        samplings.append(sampling.shape)  # a completed sampling
+        return sampling
+
+    monkeypatch.setattr(TrigSymbol, "evaluate_on_grid", counting)
+    cfg = write_config(tmp_path, {
+        "symbol": {"dimension": 1, "spectrum": [{"index": [1], "re": 1.0}]},
+        "halfspace": {"axis_order": [0], "axis_sign": [-1]}, "nu": [1], "grid": [2]})
+    assert run(["szego", "--config", cfg]) == cli.EXIT_USAGE
+    assert "cannot resolve the spectrum of f" in capsys.readouterr().err
+    assert samplings == []
+    assert run(["szego", "--config", cfg, "--grid", "4"]) == cli.EXIT_HYPOTHESIS
 
 
 def test_symbol_evaluated_once_per_run(tmp_path, monkeypatch):
