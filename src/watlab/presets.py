@@ -15,7 +15,7 @@ _D1_CHECKS = [
     {"id": "szego", "grid": 16384},
     {"id": "identity", "n": [1, 2, 3, 5], "k": [-1, 0, 1], "grid": 256},
     {"id": "log_integral", "r": [0.5, 0.9], "grid": 128},
-    {"id": "abel", "N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512},
+    {"id": "abel", "N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 1024},
 ]
 
 

@@ -317,6 +317,16 @@ def test_log_integral_blocks_match_outer_product(small_blocks, name, nu, grid, e
     }
 
 
+@pytest.mark.parametrize("f", [TrigSymbol.blaschke([0.5]), TrigSymbol.constant(1j)],
+                         ids=["blaschke-half", "unimodular-constant"])
+def test_log_integral_full_e_restriction_is_lhs(small_blocks, f):
+    """On a full E the E-first order is the grid order and E x E the whole
+    pair grid, so every block's cells are one corner view: the restricted
+    sum is lhs to the last bit, under every block size."""
+    for rep in log_integral_bound_check(f, (1,), [0.5, 0.9], 128):
+        assert rep.details["lhs_restricted_to_E"] == rep.lhs
+
+
 @pytest.mark.parametrize("name, nu, grid, e_tol", PAIR_CASES)
 def test_identity_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol):
     # identity sums its integrand once and walks no blocks: under every

@@ -12,9 +12,10 @@ import pytest
 import watlab
 from watlab import cli
 from watlab.bounds import BoundReport
+from watlab.coeffs import compute_b_table
 from watlab.config import CHECK_PARAMS, ConfigError, RunConfig
 from watlab.presets import PRESET_NAMES, preset_config
-from watlab.symbols import ResolutionError
+from watlab.symbols import ResolutionError, unit_modulus_set
 
 
 def small_preset(**overrides):
@@ -935,7 +936,7 @@ def test_from_dict_resolves_check_entries():
     window = tuple(range(-4, 5))
     assert cfg.checks == [dict(c, k=window) if c.get("k") == "window" else c for c in doc["checks"]]
     assert cfg.raw["checks"] == doc["checks"]
-    assert cfg.sha256() == "60a3c66169891c73f320531e48b78d2d6656f201a221dabeaada4325d6dbc664"
+    assert cfg.sha256() == "349055b539f14e7e0feb4877618137347e8d19fb5ec2eb21de48758722bfc593"
     bare = RunConfig.from_dict(small_preset(k_window=1, checks=[{"id": cid} for cid in CHECK_PARAMS]))
     assert bare.checks == [
         {"id": "weighted_series", "N": [0], "k": (-1, 0, 1)},
@@ -947,6 +948,24 @@ def test_from_dict_resolves_check_entries():
         {"id": "log_integral", "r": [0.5], "grid": 128},
         {"id": "abel", "N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512},
     ]
+
+
+@pytest.mark.parametrize("preset", [
+    name for name in PRESET_NAMES if any(c["id"] == "abel" for c in preset_config(name)["checks"])])
+def test_preset_abel_table_does_not_alias(preset):
+    """The abel entry's table, rows N - n_trunc .. N + n_trunc on the entry's
+    grid, matches the same rows on grid 16384.  B^n reaches frequency
+    n * sum (1+|a|)/(1-|a|), so at grid 512 blaschke-two's row -200 is off
+    by 2.4e-2 and blaschke-half's rows by 5e-12."""
+    cfg = RunConfig.from_dict(preset_config(preset))
+    (abel,) = [c for c in cfg.checks if c["id"] == "abel"]
+    rows, k = (abel["N"] - abel["n_trunc"], abel["N"] + abel["n_trunc"]), abel["k"]
+
+    def column(grid):
+        E = unit_modulus_set(cfg.symbol.evaluate_on_grid(grid), cfg.e_tol)
+        return compute_b_table(cfg.symbol, E, cfg.nu, rows, [k]).column(k)
+
+    assert np.abs(column(abel["grid"]) - column(16384)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
