@@ -6,6 +6,7 @@ both sides of the inequality, the margin, and truncation or quadrature metadata
 of nonnegative terms are reported, and labelled, as lower bounds of the
 infinite sum, so a truncated pass is necessary but not sufficient.  A verifier
 takes only what a run config sets; its tolerance is a constant of this module.
+Every verdict but the strict Cauchy lemma's comes from one rule, _passes.
 The grid checks that take a list (identity's n and k, log_integral's r) sample
 their grid and find E once per call and return one report per point.
 
@@ -84,6 +85,19 @@ class BoundReport:
         }
 
 
+def _passes(lhs: float, rhs: float, tolerance: float, two_sided: bool = False) -> bool:
+    """The pass rule of every check but the Cauchy lemma: |lhs - rhs| <= tolerance
+    for a two-sided form (an identity), lhs <= rhs + tolerance for an inequality."""
+    return abs(lhs - rhs) <= tolerance if two_sided else lhs <= rhs + tolerance
+
+
+def _report(check_id: str, params: dict, lhs: float, rhs: float, tolerance: float,
+            details: dict) -> BoundReport:
+    """A report judged by _passes, two-sided if its details say so."""
+    passed = _passes(lhs, rhs, tolerance, details.get("two_sided", False))
+    return BoundReport(check_id, params, lhs, rhs, tolerance, passed, details)
+
+
 def theorem_constant(f0hat: complex) -> float:
     """The constant log(16 / |f-hat(0)|^4) controlling all the mean bounds,
     as log 16 - 4 log|f-hat(0)|: the quotient overflows for a tiny f-hat(0)."""
@@ -93,11 +107,12 @@ def theorem_constant(f0hat: complex) -> float:
     return math.log(16.0) - 4.0 * math.log(mod)
 
 
-def _f0(f: TrigSymbol) -> complex:
-    """f-hat(0), whose log szego_check takes."""
+def nonzero_f0(f: TrigSymbol) -> complex:
+    """f-hat(0), refused if zero: the gate of a run's hypotheses and of
+    szego_check, which takes its log."""
     f0 = f.coefficient_at_zero()
     if f0 == 0:
-        raise HypothesisViolation("f-hat(0) = 0")
+        raise HypothesisViolation("hypothesis violated: f-hat(0) = 0")
     return f0
 
 
@@ -115,20 +130,11 @@ def check_weighted_series(table: DiagonalTable, N: int, k: int, C: float) -> Bou
     m = table.n_values
     keep = m != N
     terms = table.abs2_column(k)[keep] / np.abs(m[keep] - N)
-    lhs = float(csum(terms))
-    return BoundReport(
-        check_id="weighted_series",
-        params={"N": N, "k": k},
-        lhs=lhs,
-        rhs=float(C),
-        tolerance=DEFAULT_ENTRY_TOL,
-        passed=lhs <= C + DEFAULT_ENTRY_TOL,
-        details={
-            "m_range": [table.n_min, table.n_max],
-            "truncated_lower_bound": True,
-            "negative_m_convention": "conjugate-power" if table.n_min < 0 else "m >= n_min only",
-        },
-    )
+    convention = "conjugate-power" if table.n_min < 0 else "m >= n_min only"
+    return _report("weighted_series", {"N": N, "k": k}, float(csum(terms)), float(C),
+                   DEFAULT_ENTRY_TOL, {"m_range": [table.n_min, table.n_max],
+                                       "truncated_lower_bound": True,
+                                       "negative_m_convention": convention})
 
 
 def _block_sum(table: DiagonalTable, M: int, p: int, k: int) -> float:
@@ -142,15 +148,8 @@ def check_mean_bound_ii(table: DiagonalTable, M: int, p: int, k: int, C: float) 
     s = _block_sum(table, M, p, k)
     lhs = s / (p + 1)
     rhs = C / math.log(p + 1)
-    return BoundReport(
-        check_id="mean_ii",
-        params={"M": M, "p": p, "k": k},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=DEFAULT_ENTRY_TOL,
-        passed=lhs <= rhs + DEFAULT_ENTRY_TOL,
-        details={"block_sum": s},
-    )
+    return _report("mean_ii", {"M": M, "p": p, "k": k}, lhs, rhs, DEFAULT_ENTRY_TOL,
+                   {"block_sum": s})
 
 
 def check_mean_bound_iii(
@@ -165,15 +164,9 @@ def check_mean_bound_iii(
     integral, abserr = log_quad(lambda t: 1.0 / (t * big_l(q, t + gamma)), 1.0, p + 1.0)
     lhs = integral * s
     rhs = (C / (1.0 - alpha)) * (p + gamma) / big_l(q, p + gamma)
-    return BoundReport(
-        check_id="mean_iii",
-        params={"q": q, "alpha": alpha, "gamma": gamma, "M": M, "p": p, "k": k},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=DEFAULT_ENTRY_TOL,
-        passed=lhs <= rhs + DEFAULT_ENTRY_TOL,
-        details={"block_sum": s, "integral": integral, "quad_abserr": abserr},
-    )
+    return _report("mean_iii", {"q": q, "alpha": alpha, "gamma": gamma, "M": M, "p": p, "k": k},
+                   lhs, rhs, DEFAULT_ENTRY_TOL,
+                   {"block_sum": s, "integral": integral, "quad_abserr": abserr})
 
 
 def check_mean_bound_iv(
@@ -189,15 +182,8 @@ def check_mean_bound_iv(
         log_iter(q + 1, p + 1 + gamma) - log_iter(q + 1, 1 + gamma)
     )
     rhs = (C / (1.0 - alpha)) / denom
-    return BoundReport(
-        check_id="mean_iv",
-        params={"q": q, "alpha": alpha, "gamma": gamma, "M": M, "p": p, "k": k},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=DEFAULT_ENTRY_TOL,
-        passed=lhs <= rhs + DEFAULT_ENTRY_TOL,
-        details={"block_sum": s},
-    )
+    return _report("mean_iv", {"q": q, "alpha": alpha, "gamma": gamma, "M": M, "p": p, "k": k},
+                   lhs, rhs, DEFAULT_ENTRY_TOL, {"block_sum": s})
 
 
 # -- geometric-mean inequality ------------------------------------------------
@@ -240,17 +226,11 @@ def szego_check(
     symbol whose spectrum avoids the half-space."""
     if not f.vanishes_on(halfspace):
         raise HypothesisViolation("spectrum does not vanish on the half-space")
-    lhs = math.log(abs(_f0(f)))
+    lhs = math.log(abs(nonzero_f0(f)))
     rhs, method, excluded = log_modulus_integral(f, resolution)
-    return BoundReport(
-        check_id="szego",
-        params={"resolution": resolution if isinstance(resolution, int) else list(resolution)},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=DEFAULT_SZEGO_TOL,
-        passed=rhs >= lhs - DEFAULT_SZEGO_TOL,
-        details={"method": method, "excluded_nodes": excluded},
-    )
+    res = resolution if isinstance(resolution, int) else list(resolution)
+    return _report("szego", {"resolution": res}, lhs, rhs, DEFAULT_SZEGO_TOL,
+                   {"method": method, "excluded_nodes": excluded})
 
 
 # -- double-integral machinery -------------------------------------------------
@@ -354,8 +334,8 @@ def log_integral_bound_check(
         rhs = C / 2 - math.log(r)
         details = {"excluded_nodes": excluded, "floor": LOG_FLOOR,
                    "lhs_restricted_to_E": on_E / total**2}
-        reports.append(BoundReport("log_integral_bound", {"r": r, "resolution": res}, lhs, rhs,
-                                   DEFAULT_LOG_BOUND_TOL, lhs <= rhs + DEFAULT_LOG_BOUND_TOL, details))
+        reports.append(_report("log_integral_bound", {"r": r, "resolution": res}, lhs, rhs,
+                               DEFAULT_LOG_BOUND_TOL, details))
     return reports
 
 
@@ -384,14 +364,13 @@ def identity_check(
         for k in ks:
             if table.degenerate:
                 lhs = rhs = 0.0
-                passed, details = True, {"degenerate": True, "two_sided": True}
+                details = {"degenerate": True, "two_sided": True}
             else:
                 lhs = abs2(table.entry(n, k))
                 rhs = abs2(csum(masked_integrand(E, nu, n, k)) / sampling.size)
-                diff = abs(lhs - rhs)
-                passed, details = diff <= DEFAULT_ENTRY_TOL, {"two_sided": True, "abs_difference": diff}
-            reports.append(BoundReport(
-                "identity", {"n": n, "k": k}, lhs, rhs, DEFAULT_ENTRY_TOL, passed, details))
+                details = {"two_sided": True, "abs_difference": abs(lhs - rhs)}
+            reports.append(_report("identity", {"n": n, "k": k}, lhs, rhs, DEFAULT_ENTRY_TOL,
+                                   details))
     return reports
 
 
@@ -443,24 +422,13 @@ def abel_series_check(
 
     tail = r ** (n_trunc + 1) / ((n_trunc + 1) * (1.0 - r))
     tolerance = ABEL_BASE_TOL + tail
-    diff = abs(lhs - rhs)
-    passed = diff <= tolerance and max_partial <= series_bound + ABEL_BASE_TOL
-    return BoundReport(
-        check_id="abel_series",
-        params={"N": N, "k": k, "r": r, "n_trunc": n_trunc},
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        passed=passed,
-        details={
-            "two_sided": True,
-            "abs_difference": diff,
-            "tail_bound": tail,
-            "max_partial_sum": max_partial,
-            "partial_sum_bound": series_bound,
-            "degenerate": table.degenerate,
-        },
-    )
+    passed = (_passes(lhs, rhs, tolerance, True)
+              and _passes(max_partial, series_bound, ABEL_BASE_TOL))
+    details = {"two_sided": True, "abs_difference": abs(lhs - rhs), "tail_bound": tail,
+               "max_partial_sum": max_partial, "partial_sum_bound": series_bound,
+               "degenerate": table.degenerate}
+    return BoundReport("abel_series", {"N": N, "k": k, "r": r, "n_trunc": n_trunc}, lhs, rhs,
+                       tolerance, passed, details)
 
 
 # -- the Cauchy mean-value lemma behind the constants (alpha_q, gamma_q) -------
@@ -478,12 +446,7 @@ def cauchy_mvt_bound_check(q: int) -> BoundReport:
         right = x / ((1.0 - alpha) * big_l(q, x))
         rows.append({"x": x, "lhs": left, "rhs": right})
     worst = min(rows, key=lambda row: row["rhs"] - row["lhs"])
-    return BoundReport(
-        check_id="cauchy_mvt",
-        params={"q": q, "alpha": alpha, "gamma": gamma},
-        lhs=worst["lhs"],
-        rhs=worst["rhs"],
-        tolerance=0.0,
-        passed=worst["rhs"] > worst["lhs"],
-        details={"samples": rows, "worst_x": worst["x"]},
-    )
+    # the lemma is strict, so not _passes: equality fails it
+    return BoundReport("cauchy_mvt", {"q": q, "alpha": alpha, "gamma": gamma}, worst["lhs"],
+                       worst["rhs"], 0.0, worst["rhs"] > worst["lhs"],
+                       {"samples": rows, "worst_x": worst["x"]})

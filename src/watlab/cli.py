@@ -31,6 +31,7 @@ from .bounds import (
     check_weighted_series,
     identity_check,
     log_integral_bound_check,
+    nonzero_f0,
     szego_check,
     theorem_constant,
 )
@@ -57,8 +58,7 @@ class _Parser(argparse.ArgumentParser):
 def verify_hypotheses(cfg: RunConfig):
     """Gate a run on the standing hypotheses; raises HypothesisViolation.
     Returns the symbol's sampling on the run grid, for ``build_table``."""
-    if cfg.symbol.coefficient_at_zero() == 0:
-        raise HypothesisViolation("hypothesis violated: f-hat(0) = 0")
+    nonzero_f0(cfg.symbol)
     if not cfg.symbol.vanishes_on(cfg.halfspace):
         raise HypothesisViolation(
             "hypothesis violated: spectrum does not vanish on the half-space S"

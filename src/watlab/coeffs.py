@@ -31,6 +31,7 @@ import numpy as np
 # perfbench/tracing.py wraps coeffs.csum_rows by name; nothing here calls it.
 from .accum import csum, csum_rows, gauss_legendre
 from .symbols import (
+    DEFAULT_E_TOL,
     TrigSymbol,
     UnitModulusSet,
     check_resolution,
@@ -290,7 +291,7 @@ def brute_force_b(
     n: int,
     k: int,
     resolution: Sequence[int] | int,
-    e_tol: float = 1e-9,
+    e_tol: float = DEFAULT_E_TOL,
 ) -> complex:
     """The table's integrand on E (masked_integrand), evaluated cell by cell
     on a fresh sampling and summed directly with csum: no NUFFT."""

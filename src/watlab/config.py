@@ -49,6 +49,15 @@ def _int_list(v) -> bool:
     return isinstance(v, list) and all(map(is_int, v))
 
 
+def _fields(name: str, doc, known) -> dict:
+    """``doc``, refused unless it is an object whose keys are all in ``known``:
+    the config's one unknown-key rule, for the document and the objects in it."""
+    _require(isinstance(doc, dict), f"{name} must be an object")
+    unknown = set(doc) - set(known)
+    _require(not unknown, f"unknown {name} fields: {sorted(unknown)}")
+    return doc
+
+
 def _checked(name: str, ok, value):
     """``value``, refused as a ConfigError unless ``ok(value)``."""
     _require(ok(value), f"malformed {name}: {value!r}")
@@ -63,36 +72,40 @@ def _complex(name: str, pair) -> complex:
 
 
 def parse_symbol(doc: dict) -> TrigSymbol:
-    _require(isinstance(doc, dict), "symbol must be an object")
+    _fields("symbol", doc, ("dimension", "spectrum", "family", "params"))
+    _require("spectrum" not in doc or not {"family", "params"} & set(doc),
+             "symbol takes a spectrum or a family with its params, not both")
     dim = doc.get("dimension", 1)
     _require(is_int(dim) and dim >= 1, "symbol.dimension must be a positive integer")
     try:
         if "spectrum" in doc:
             coeffs = {}
             for item in doc["spectrum"]:
+                _fields("symbol.spectrum term", item, ("index", "re", "im"))
                 idx = tuple(_checked("symbol.spectrum.index", _int_list, item["index"]))
                 re_im = [item.get("re", 0.0), item.get("im", 0.0)]
                 coeffs[idx] = _complex("symbol.spectrum [re, im]", re_im)
             return TrigSymbol.trig_polynomial(dim, coeffs)
         family = doc.get("family")
-        params = doc.get("params", {})
+        _require(family in ("blaschke", "constant"), "symbol needs either a spectrum or a known family")
+        params = _fields("symbol.params", doc.get("params", {}),
+                         ["zeros" if family == "blaschke" else "value"])
         if family == "blaschke":
+            _require(dim == 1, f"symbol.dimension: a blaschke symbol has dimension 1, got {dim}")
             zeros = [_complex("symbol.params.zeros", z) for z in params["zeros"]]
             return TrigSymbol.blaschke(zeros)
-        if family == "constant":
-            value = _complex("symbol.params.value", params["value"])
-            return TrigSymbol.constant(value, dimension=dim)
+        value = _complex("symbol.params.value", params["value"])
+        return TrigSymbol.constant(value, dimension=dim)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (SymbolError, ConfigError)):
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"malformed symbol spec: {exc}") from exc
-    raise ConfigError("symbol needs either a spectrum or a known family")
 
 
 def parse_halfspace(doc: dict | None, dimension: int) -> HalfSpace:
     if doc is None:
         return HalfSpace.standard(dimension)
-    _require(isinstance(doc, dict), "halfspace must be an object")
+    _fields("halfspace", doc, ("axis_order", "axis_sign"))
     order = _checked("halfspace.axis_order", _int_list, doc.get("axis_order", list(range(dimension))))
     sign = _checked("halfspace.axis_sign", _int_list, doc.get("axis_sign", [1] * dimension))
     try:
@@ -216,11 +229,8 @@ class RunConfig:
         _require(isinstance(doc, dict), "config must be a JSON object")
         schema = doc.get("schema", SCHEMA_VERSION)
         _require(schema == SCHEMA_VERSION, f"unsupported schema version {schema}")
-        unknown = set(doc) - {
-            "schema", "symbol", "halfspace", "nu", "grid",
-            "n_min", "n_max", "k_window", "e_tol", "checks",
-        }
-        _require(not unknown, f"unknown config fields: {sorted(unknown)}")
+        _fields("config", doc, ("schema", "symbol", "halfspace", "nu", "grid",
+                                "n_min", "n_max", "k_window", "e_tol", "checks"))
         _require("symbol" in doc, "config requires a symbol")
         symbol = parse_symbol(doc["symbol"])
         halfspace = parse_halfspace(doc.get("halfspace"), symbol.dimension)

@@ -49,6 +49,35 @@ def test_weighted_series_on_delta_table():
             assert rep.lhs == pytest.approx(1 / abs(k - N), abs=1e-12)
 
 
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_pass_rule_boundary(two_sided):
+    """_passes accepts lhs at rhs + tolerance exactly (two-sided, also at
+    rhs - tolerance) and refuses the next float beyond; the values are
+    chosen so that lhs - rhs is exact."""
+    rhs, tol = 1.0, 0.25
+    edges = [(1.25, math.inf), (0.75, -math.inf)] if two_sided else [(1.25, math.inf)]
+    for edge, beyond in edges:
+        assert bounds._passes(edge, rhs, tol, two_sided)
+        assert not bounds._passes(np.nextafter(edge, beyond), rhs, tol, two_sided)
+    assert bounds._passes(-1e300, rhs, tol, two_sided) is not two_sided
+
+
+def test_report_reads_two_sided_from_details():
+    assert bounds._report("x", {}, 0.5, 1.0, 0.25, {}).passed
+    assert not bounds._report("x", {}, 0.5, 1.0, 0.25, {"two_sided": True}).passed
+
+
+def test_verifiers_report_failure():
+    """A table-side verifier fails when its bound is below lhs by more than
+    its tolerance, and passes at the bound."""
+    tab = make_table(TrigSymbol.constant(1j), (1,), (0, 8), 4, 64)
+    lhs = check_weighted_series(tab, 5, 1, 1.0).lhs
+    assert check_weighted_series(tab, 5, 1, lhs).passed
+    assert not check_weighted_series(tab, 5, 1, lhs - 2 * bounds.DEFAULT_ENTRY_TOL).passed
+    assert check_mean_bound_ii(tab, 1, 7, 3, 1.0).lhs == pytest.approx(1 / 8)
+    assert not check_mean_bound_ii(tab, 1, 7, 3, 0.25).passed
+
+
 def test_weighted_series_truncation_monotone(blaschke_half):
     C = theorem_constant(0.5)
     small = make_table(blaschke_half, (1,), (1, 64), 2, 1024)
@@ -223,6 +252,16 @@ def test_abel_blaschke(blaschke_half):
     assert rep.passed
     assert rep.details["abs_difference"] <= rep.tolerance
     assert rep.details["max_partial_sum"] <= rep.details["partial_sum_bound"]
+
+
+def test_abel_fails_above_its_partial_sum_bound(blaschke_half, monkeypatch):
+    """abel fails when a partial sum exceeds log(16 / (r^2 |f-hat(0)|^4)),
+    though its two sides agree: here that bound is lowered below zero."""
+    monkeypatch.setattr(bounds, "theorem_constant", lambda f0: -1.0)
+    rep = abel_series_check(blaschke_half, (1,), 0, 0, 0.9, 200, 512)
+    assert rep.details["abs_difference"] <= rep.tolerance
+    assert rep.details["max_partial_sum"] > rep.details["partial_sum_bound"]
+    assert not rep.passed
 
 
 def test_abel_r_rejected(blaschke_half):

@@ -11,7 +11,7 @@ import pytest
 
 import watlab
 from watlab import cli
-from watlab.bounds import BoundReport
+from watlab.bounds import ABEL_BASE_TOL, BoundReport
 from watlab.coeffs import compute_b_table
 from watlab.config import CHECK_PARAMS, ConfigError, RunConfig
 from watlab.presets import PRESET_NAMES, preset_config
@@ -192,6 +192,23 @@ def test_check_preset_end_to_end(tmp_path, capsys, preset):
     lines = capsys.readouterr().out.splitlines()
     n = len((out / "reports.jsonl").read_text().splitlines())
     assert n > 0 and lines[-1] == f"{n}/{n} checks passed"
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_report_verdicts_follow_the_pass_rule(tmp_path, preset):
+    """Each report's pass is the documented rule on its own fields: a
+    two-sided report passes iff |lhs - rhs| <= tolerance, any other iff
+    lhs <= rhs + tolerance; abel's also needs its partial sums under their
+    bound."""
+    out = tmp_path / "out"
+    assert run(["check", "--preset", preset, "--out", str(out)]) == cli.EXIT_OK
+    for line in (out / "reports.jsonl").read_text().splitlines():
+        rep = json.loads(line)
+        lhs, rhs, tol, details = rep["lhs"], rep["rhs"], rep["tolerance"], rep["details"]
+        rule = abs(lhs - rhs) <= tol if details.get("two_sided") else lhs <= rhs + tol
+        if rep["check"] == "abel_series":
+            rule = rule and details["max_partial_sum"] <= details["partial_sum_bound"] + ABEL_BASE_TOL
+        assert rep["pass"] is rule, rep
 
 
 def test_preset_flag(tmp_path):
@@ -594,9 +611,45 @@ def test_from_dict_refuses_coarse_check_grid(doc, grid):
         RunConfig.from_dict(doc)
 
 
+def _spectrum_term(term):
+    doc = small_preset(symbol=preset_config("szego-equality")["symbol"])
+    doc["symbol"]["spectrum"][1] = term
+    return doc
+
+
+# Configs with a key that no object of theirs takes, or a symbol given two ways,
+# with the message they are refused with.
+UNKNOWN_FIELDS = [
+    pytest.param(small_preset(extra=1), "unknown config fields: ['extra']", id="config-key"),
+    pytest.param(_spectrum_term({"index": [1], "re": 0.5, "imag": 0.3}),
+                 "unknown symbol.spectrum term fields: ['imag']", id="spectrum-imag"),
+    pytest.param(small_preset(symbol={"dimension": 2, "family": "blaschke", "params": {"zeros": [[0.5, 0.0]]}}),
+                 "symbol.dimension: a blaschke symbol has dimension 1, got 2", id="blaschke-d2"),
+    pytest.param(small_preset(symbol={**preset_config("szego-equality")["symbol"], "family": "blaschke"}),
+                 "symbol takes a spectrum or a family with its params, not both", id="spectrum-and-family"),
+    pytest.param(small_preset(symbol={**preset_config("blaschke-half")["symbol"], "zeros": [[0.1, 0.0]]}),
+                 "unknown symbol fields: ['zeros']", id="symbol-key"),
+    pytest.param(_family("blaschke", zeros=[[0.5, 0.0]], value=[0.1, 0.0]),
+                 "unknown symbol.params fields: ['value']", id="params-key"),
+    pytest.param(small_preset(halfspace={"axis_order": [0], "axis_signs": [1]}),
+                 "unknown halfspace fields: ['axis_signs']", id="halfspace-key"),
+]
+
+
+@pytest.mark.parametrize("doc, message", UNKNOWN_FIELDS)
+def test_config_objects_refuse_unknown_fields(doc, message):
+    """The config and every object in it refuse a key they do not take, by
+    one rule, rather than drop it: an "imag" typo would build the symbol
+    with im = 0."""
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_dict(doc)
+    assert str(info.value) == message
+
+
 # Runs refused as input: (argv without --out, a config written for --config
 # or None, a cap of watlab.coeffs lowered to 1024 or None).
 REFUSED_RUNS = [
+    *(pytest.param(["check"], p.values[0], None, id=p.id) for p in UNKNOWN_FIELDS),
     *(pytest.param(["check"], small_preset(checks=[e]), None, id=f"{e['id']}-grid-{e['grid']}")
       for e in BAD_GRID_ENTRIES),
     *(pytest.param(["check"], p.values[0], None, id=p.id) for p in COARSE_GRIDS),
