@@ -41,11 +41,6 @@ from .symbols import (
     unit_modulus_set,
 )
 
-# A true unit-modulus set of measure zero shows up on a grid as a lower
-# dimensional slice with mask fraction O(1/G); below this fraction the table
-# is declared degenerate and forced to exact zeros.
-DEGENERATE_MEASURE_FACTOR = 8.0
-
 ENTRY_BOUND_SLACK = 1e-12
 
 # Table entries, rows x diagonals: 256 MiB of complex values, and the NUFFT
@@ -100,7 +95,7 @@ class DiagonalTable:
     resolution: tuple[int, ...]
     e_tol: float
     e_measure: float
-    degenerate: bool
+    degenerate: bool  # E is empty, a null set on this grid (unit_modulus_set)
 
     def row_index(self, n: int) -> int:
         if not self.n_min <= n <= self.n_max:
@@ -267,21 +262,16 @@ def compute_b_table(
 ) -> DiagonalTable:
     res = E.sampling.shape
     nu, n_min, n_max, k_values = check_table(f, nu, n_range, k_window, res)
-    rows = n_max - n_min + 1
-    degenerate = E.measure <= DEGENERATE_MEASURE_FACTOR / min(res)
-    if degenerate:
-        values = np.zeros((rows, len(k_values)), dtype=np.complex128)
-    else:
-        phase, theta = _masked_geometry(E, nu)
-        values = _nufft_type1(theta, phase, k_values, n_min, n_max) / E.sampling.size
-        peak = float(np.abs(values).max()) if values.size else 0.0
-        if peak > E.measure + ENTRY_BOUND_SLACK:
-            raise TableError(
-                f"entry bound violated: max |b| = {peak} > measure(E) = {E.measure}"
-            )
+    phase, theta = _masked_geometry(E, nu)
+    values = _nufft_type1(theta, phase, k_values, n_min, n_max) / E.sampling.size
+    peak = float(np.abs(values).max()) if values.size else 0.0
+    if peak > E.measure + ENTRY_BOUND_SLACK:
+        raise TableError(
+            f"entry bound violated: max |b| = {peak} > measure(E) = {E.measure}"
+        )
     return DiagonalTable(
         nu=nu, n_min=n_min, n_max=n_max, k_values=k_values, values=values,
-        resolution=res, e_tol=E.tol, e_measure=E.measure, degenerate=degenerate,
+        resolution=res, e_tol=E.tol, e_measure=E.measure, degenerate=E.measure == 0.0,
     )
 
 
@@ -299,6 +289,4 @@ def brute_force_b(
     fit_grid(res, required_grid(f, nu, abs(n), abs(k)), "character (n-k)nu")
     sampling = f.evaluate_on_grid(res)
     E = unit_modulus_set(sampling, e_tol)
-    if E.measure == 0.0:
-        return 0j
     return csum(masked_integrand(E, nu, n, k)) / sampling.size

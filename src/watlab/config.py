@@ -125,7 +125,7 @@ CHECK_PARAMS = {
     "szego": ({}, {"grid": None}),
     "identity": ({"n": [1], "k": [0]}, {"grid": 256}),
     "log_integral": ({"r": [0.5]}, {"grid": 128}),
-    "abel": ({}, {"N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512}),
+    "abel": ({}, {"N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 1024}),
 }
 
 # Whether one value of a check parameter is well formed and in range (for a

@@ -3,6 +3,7 @@
 Everything here is diagnostic: probes emit data series and fitted slopes,
 never pass/fail verdicts, because the underlying questions (convergence of
 the L_q-weighted series, existence of the limit of the means) are open.
+No slope is fitted to rounding noise, probed |b| all <= coeffs.ENTRY_BOUND_SLACK.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import DiagonalTable
+from .coeffs import ENTRY_BOUND_SLACK, DiagonalTable
 from .iterlog import big_l, positivity_threshold
 
 
@@ -63,7 +64,7 @@ def tail_series(
     partials = np.cumsum(weights * abs2[keep])
     slope = None
     pos = partials > 0
-    if np.count_nonzero(pos) >= 3:
+    if np.count_nonzero(pos) >= 3 and np.abs(table.column(k)[keep]).max() > ENTRY_BOUND_SLACK:
         lo = np.flatnonzero(pos)[0]
         xs = np.log(n_vals[lo:].astype(float))
         ys = np.log(partials[lo:])
@@ -91,7 +92,8 @@ def decay_fit(table: DiagonalTable, k: int, M: int = 1) -> dict:
         raise ProbeError("need at least 3 dyadic ladder points")
     p_arr = np.asarray(p_values, dtype=float)
     mean_arr = np.asarray(means)
-    if np.all(mean_arr == 0.0):
+    probed = table.column(k)[table.row_index(M):table.row_index(M + p_values[-1]) + 1]
+    if np.abs(probed).max() <= ENTRY_BOUND_SLACK:
         return {
             "p_values": p_values,
             "means": means,

@@ -25,6 +25,11 @@ from .accum import csum
 from .lattice import HalfSpace, as_point
 
 DEFAULT_E_TOL = 1e-9
+# A null set's E shows up on a grid as a lower dimensional slice, a mask
+# fraction O(1/G): at most DEGENERATE_MEASURE_FACTOR / min(G).  Where that
+# budget is at most 1 / DEGENERATE_MEASURE_FACTOR (every axis >= 64),
+# unit_modulus_set empties such a mask; on a coarser grid every mask is E.
+DEGENERATE_MEASURE_FACTOR = 8.0
 # Cells of one grid evaluation: 256 MiB of complex samples.  Larger grids are
 # refused before they are allocated.
 MAX_GRID_CELLS = 2**24
@@ -232,9 +237,14 @@ def sup_norm(sampling: np.ndarray) -> float:
 
 
 def unit_modulus_set(sampling: np.ndarray, tol: float = DEFAULT_E_TOL) -> UnitModulusSet:
+    """E on the grid, the mask {||f| - 1| <= tol}, emptied for a null set's
+    slice: the one null-set rule, read by the table, its oracle and every check."""
     # below 1, so that f/|f| is defined on E
     if not 0 < tol < 1:
         raise SymbolError(f"E-detection tolerance must lie in (0, 1), got {tol}")
     mask = np.abs(np.abs(sampling) - 1.0) <= tol
     measure = float(np.count_nonzero(mask)) / sampling.size
+    budget = DEGENERATE_MEASURE_FACTOR / min(sampling.shape)
+    if budget <= 1 / DEGENERATE_MEASURE_FACTOR and measure <= budget:
+        mask, measure = np.zeros_like(mask), 0.0
     return UnitModulusSet(sampling=sampling, mask=mask, tol=tol, measure=measure)

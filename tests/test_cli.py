@@ -135,6 +135,23 @@ def test_explore_decay_fit_flag(tmp_path):
     assert "plots/mean_decay.dat" not in manifest["outputs"]
 
 
+def test_explore_flags_rounding_noise(tmp_path):
+    """constant's k = 0 entries are exactly 0 for n >= 1 and come out of the
+    table as rounding (|b|^2 ~ 1e-29): explore fits no slope to them, and
+    still writes their partial sums and block means."""
+    out = tmp_path / "out"
+    assert run(["explore", "--preset", "constant", "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    fit = summary["decay_fit"]
+    assert fit["flag"] == "zero table: slope undefined"
+    assert fit["slope_vs_log_p"] is None and fit["slope_vs_log_L2"] is None
+    assert 0 < max(fit["means"]) < 1e-24
+    for stem in ("tail_inv_n", "tail_l1_over_n", "tail_l2_over_n"):
+        assert summary[stem]["loglog_slope"] is None
+        assert 0 < summary[stem]["final_partial_sum"] < 1e-24
+    assert (out / "plots" / "mean_decay.dat").exists()
+
+
 def test_coarse_grid_names_usable_grid(tmp_path, capsys):
     """blaschke-half at n_max 4096 needs 8202 points per axis, which is not a
     power of two; the message names the grid that works."""
@@ -999,7 +1016,7 @@ def test_from_dict_resolves_check_entries():
         {"id": "szego", "grid": (512,)},
         {"id": "identity", "n": [1], "k": [0], "grid": 256},
         {"id": "log_integral", "r": [0.5], "grid": 128},
-        {"id": "abel", "N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 512},
+        {"id": "abel", "N": 0, "k": 0, "r": 0.9, "n_trunc": 200, "grid": 1024},
     ]
 
 
@@ -1007,18 +1024,20 @@ def test_from_dict_resolves_check_entries():
     name for name in PRESET_NAMES if any(c["id"] == "abel" for c in preset_config(name)["checks"])])
 def test_preset_abel_table_does_not_alias(preset):
     """The abel entry's table, rows N - n_trunc .. N + n_trunc on the entry's
-    grid, matches the same rows on grid 16384.  B^n reaches frequency
+    grid, matches the same rows on grid 16384, for the preset's entry and
+    for a bare {"id": "abel"} on the preset's symbol.  B^n reaches frequency
     n * sum (1+|a|)/(1-|a|), so at grid 512 blaschke-two's row -200 is off
     by 2.4e-2 and blaschke-half's rows by 5e-12."""
-    cfg = RunConfig.from_dict(preset_config(preset))
-    (abel,) = [c for c in cfg.checks if c["id"] == "abel"]
-    rows, k = (abel["N"] - abel["n_trunc"], abel["N"] + abel["n_trunc"]), abel["k"]
+    for checks in (preset_config(preset)["checks"], [{"id": "abel"}]):
+        cfg = RunConfig.from_dict(dict(preset_config(preset), checks=checks))
+        (abel,) = [c for c in cfg.checks if c["id"] == "abel"]
+        rows, k = (abel["N"] - abel["n_trunc"], abel["N"] + abel["n_trunc"]), abel["k"]
 
-    def column(grid):
-        E = unit_modulus_set(cfg.symbol.evaluate_on_grid(grid), cfg.e_tol)
-        return compute_b_table(cfg.symbol, E, cfg.nu, rows, [k]).column(k)
+        def column(grid):
+            E = unit_modulus_set(cfg.symbol.evaluate_on_grid(grid), cfg.e_tol)
+            return compute_b_table(cfg.symbol, E, cfg.nu, rows, [k]).column(k)
 
-    assert np.abs(column(abel["grid"]) - column(16384)).max() <= 1e-13
+        assert np.abs(column(abel["grid"]) - column(16384)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)

@@ -1,16 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from watlab import coeffs
+from watlab import cli, coeffs
 from watlab.coeffs import (
     DiagonalTable,
     TableError,
     brute_force_b,
     compute_b_table,
 )
+from watlab.config import RunConfig
+from watlab.presets import PRESET_NAMES, preset_config
 from watlab.symbols import ResolutionError, TrigSymbol, required_resolution, unit_modulus_set
 
 
@@ -164,6 +167,29 @@ def test_partial_e_table_matches_oracle(a, e_tol, nu):
     ])
     assert np.abs(tab.values - direct).max() <= 1e-12
     assert np.array_equal(tab.values, make_table(f, (nu,), (-8, 8), 2, 512, e_tol).values)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_run_table_matches_oracle(preset):
+    """A run's table equals brute_force_b at seeded cells on every preset,
+    the two whose E is a null set included: both read one E."""
+    cfg = RunConfig.from_dict(preset_config(preset))
+    tab = cli.build_table(cfg)
+    rng = random.Random(preset)
+    for n, k in [(rng.randint(cfg.n_min, cfg.n_max), rng.choice(tab.k_values)) for _ in range(8)]:
+        direct = brute_force_b(cfg.symbol, cfg.nu, n, k, cfg.grid, cfg.e_tol)
+        assert abs(tab.entry(n, k) - direct) <= 5e-14
+
+
+def test_coarse_grid_table_matches_oracle(blaschke_half):
+    """On a grid of 8 points every mask is E as sampled: here all of the
+    circle, where b_{1,1} = 0.753 (0.75 on a fine grid)."""
+    tab = make_table(blaschke_half, (1,), (1, 2), 1, 8)
+    assert tab.e_measure == 1.0 and not tab.degenerate
+    direct = np.array([[brute_force_b(blaschke_half, (1,), n, k, 8) for k in tab.k_values]
+                       for n in (1, 2)])
+    assert abs(direct[0, 1] - 0.753) <= 1e-3
+    assert np.abs(tab.values - direct).max() <= 5e-14
 
 
 def test_table_entry_cap(monkeypatch, blaschke_half):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from watlab.coeffs import DiagonalTable, compute_b_table
+from watlab.coeffs import ENTRY_BOUND_SLACK, DiagonalTable, compute_b_table
 from watlab.explorer import ProbeError, decay_fit, tail_series
 from watlab.iterlog import big_l
 from watlab.symbols import unit_modulus_set
@@ -38,6 +38,22 @@ def test_zero_table_probe():
     fit = decay_fit(tab, 0)
     assert fit["flag"] == "zero table: slope undefined"
     assert fit["slope_vs_log_p"] is None
+
+
+@pytest.mark.parametrize("peak, fitted", [(ENTRY_BOUND_SLACK, False), (2 * ENTRY_BOUND_SLACK, True)])
+def test_rounding_noise_probe(peak, fitted):
+    """A diagonal whose |b| are all at most ENTRY_BOUND_SLACK gets no slope,
+    but its partial sums and means are written; one entry above it is data."""
+    abs_values = np.full(32, 1e-15)
+    abs_values[5] = peak
+    tab = synthetic_table(abs_values)
+    probe = tail_series(tab, 0)
+    assert probe.partial_sums[-1] > 0
+    assert (probe.loglog_slope is not None) == fitted
+    fit = decay_fit(tab, 0)
+    assert all(m > 0 for m in fit["means"])
+    assert (fit["flag"] is None) == fitted
+    assert (fit["slope_vs_log_p"] is not None) == fitted
 
 
 def test_partial_sums_nondecreasing(blaschke_half):

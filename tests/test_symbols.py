@@ -113,6 +113,46 @@ def test_unit_modulus_set_degenerate(torus2_degenerate):
     assert E.measure <= 1 / 32
 
 
+_EQUALITY = TrigSymbol.trig_polynomial(1, {(0,): 0.5, (1,): 0.5})
+
+
+def _raw_mask(sampling, tol=1e-9):
+    return np.abs(np.abs(sampling) - 1.0) <= tol
+
+
+_LINE = TrigSymbol.trig_polynomial(2, {(0, 0): 0.5, (1, 1): 0.5})
+
+
+@pytest.mark.parametrize("f, grid, cells", [
+    pytest.param(_EQUALITY, 64, 1, id="d1-point-64"),
+    pytest.param(_EQUALITY, 4096, 1, id="d1-point-4096"),
+    pytest.param(_LINE, (64, 64), 64, id="d2-line-64"),
+    pytest.param(_LINE, (256, 256), 256, id="d2-line-256"),
+])
+def test_unit_modulus_set_drops_null_slices(f, grid, cells):
+    """|(1 + z)/2| = 1 at one point, |(1 + z1 z2)/2| = 1 on a line: their
+    masks are a cell or a line of cells, null sets' slices, so E is empty."""
+    sampling = f.evaluate_on_grid(grid)
+    assert np.count_nonzero(_raw_mask(sampling)) == cells
+    E = unit_modulus_set(sampling, 1e-9)
+    assert E.measure == 0.0 and not E.mask.any()
+
+
+@pytest.mark.parametrize("f, grid, tol", [
+    pytest.param(_LINE, (32, 32), 1e-9, id="d2-line-32"),
+    pytest.param(_EQUALITY, 1024, 0.05, id="arc-0.05"),
+    pytest.param(TrigSymbol.blaschke([0.5]), 8, 1e-9, id="blaschke-grid-8"),
+])
+def test_unit_modulus_set_keeps_coarse_and_partial_masks(f, grid, tol):
+    """On a grid with an axis of fewer than 64 points a line's 32 cells are
+    E as sampled; so is all of the grid-8 circle, and an arc of a fifth of
+    the circle at any grid."""
+    sampling = f.evaluate_on_grid(grid)
+    E = unit_modulus_set(sampling, tol)
+    assert np.array_equal(E.mask, _raw_mask(sampling, tol))
+    assert E.measure == np.count_nonzero(E.mask) / sampling.size > 0
+
+
 def test_unit_modulus_set_empty():
     E = unit_modulus_set(TrigSymbol.constant(0.9).evaluate_on_grid(64), 1e-9)
     assert E.measure == 0.0
