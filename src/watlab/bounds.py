@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .accum import csum, log_quad
-from .coeffs import DiagonalTable, abs2, compute_b_table, masked_integrand
+from .coeffs import DiagonalTable, _masked_geometry, abs2, compute_b_table, masked_integrand
 from .iterlog import big_l, find_constants, log_iter, sample_ladder
 from .lattice import HalfSpace
 from .symbols import DEFAULT_E_TOL, TrigSymbol, grid_phase, unit_modulus_set
@@ -47,11 +47,14 @@ LOG_FLOOR = 1e-300
 # from the log|f| quadrature and counted.
 ZERO_NODE_FLOOR = 1e-12
 # Cells of one triangle block of a pair grid: 512 KiB per real array.  The
-# block size bounds a double-grid check's memory, three or four such arrays
-# of scratch whatever its grid.  The block partition fixes which cells each
+# block size bounds a double-grid check's memory, one such array of scratch
+# (two for abel) whatever its grid.  The block partition fixes which cells each
 # csum adds, and so the last bits of every pair sum: another size would
 # change lhs, rhs and the bytes of reports.jsonl at rounding level.
 PAIR_BLOCK_CELLS = 2**16
+# |F|^2 as one product of terms near 1 is off by a few eps, eps / |F|^2 relative,
+# which passes 2e-8 below this level: those cells take |F| from np.hypot.
+PAIR_CANCEL = 1e-8
 
 
 class HypothesisViolation(ValueError):
@@ -257,45 +260,39 @@ def _pair_sweep(g: np.ndarray, r: float, u: np.ndarray | None = None):
     without ``u``), in scratch that the next block overwrites.
 
     F(x, y) = e^{2 pi i nu.(x-y)} - r f(x) conj(f(y)) has the modulus of
-    1 - r w, w = g(x) conj(g(y)), g = f e^{-2 pi i nu.x}.  Its real and
-    imaginary parts are real matrix products of rank 3 and 2, and
-    log|F| = log(re^2 + im^2) / 2.  Where re^2 + im^2 < LOG_FLOOR
-    (|F| < 1e-150) the squares lose precision or underflow, so those cells
-    take |F| from ``np.hypot``.
+    1 - r w, w = g(x) conj(g(y)), g = f e^{-2 pi i nu.x}, and
+    |F|^2 = 1 - 2 r Re w + r^2 |g(x)|^2 |g(y)|^2 is one real matrix product
+    of rank 4.  Cells where it falls below PAIR_CANCEL take |F| from the
+    ``np.hypot`` of Re and Im of 1 - r w, computed for them alone; no block
+    minimum is taken where 1 - r max|g|^2 shows that no cell falls that low.
     """
     n = g.size
     blocks = list(_triangle_blocks(n))
     cells = max(((i1 - i0) * (n - i0) for i0, i1 in blocks), default=0)
-    rows = np.stack([np.ones(n), -r * g.real, -r * g.imag], axis=1)
-    rows_im = np.stack([r * g.imag, -r * g.real], axis=1)
-    cols = np.stack([np.ones(n), g.real, g.imag])
+    cols = np.stack([np.ones(n), g.real, g.imag, abs2(g)])
+    rows = (cols * np.array([[1], [-2 * r], [-2 * r], [r * r]])).T
+    safe = 1 - r * cols[3].max(initial=0.0) > math.sqrt(2 * PAIR_CANCEL)  # |F| >= 1 - r |g|^2
     if u is not None:
         u_rows, u_cols = np.stack([u.real, u.imag], axis=1), np.stack([u.real, u.imag])
-    # One array each, not one 4-row array: freeing a 2 MiB array raised glibc's
+    # One array each, not one 2-row array: freeing a 2 MiB array raised glibc's
     # mmap threshold, and the preset-sweep benchmark's peak RSS by 1 MiB.
-    scratch = [np.empty(cells) for _ in range(4)]  # for the largest block, not the first
+    scratch = [np.empty(cells) for _ in range(1 if u is None else 2)]  # for the largest block
     for i0, i1 in blocks:
-        re, im, logmod, pair = (a[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0) for a in scratch)
-        np.matmul(rows[i0:i1], cols[:, i0:], out=re)
-        np.matmul(rows_im[i0:i1], cols[1:, i0:], out=im)
-        np.square(re, out=logmod)
-        logmod += np.square(im, out=im)
-        tiny = np.flatnonzero(logmod < LOG_FLOOR) if logmod.min() < LOG_FLOOR else None
-        if tiny is not None:
-            np.matmul(rows_im[i0:i1], cols[1:, i0:], out=im)  # squared in place above
-            mod = np.hypot(re.ravel()[tiny], im.ravel()[tiny])
-            logmod.ravel()[tiny] = 1.0
-        np.log(logmod, out=logmod)
+        logmod, *pair = (a[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0) for a in scratch)
+        np.matmul(rows[i0:i1], cols[:, i0:], out=logmod)
+        tiny = None if safe or logmod.min() >= PAIR_CANCEL else np.flatnonzero(logmod < PAIR_CANCEL)
+        np.log(logmod if tiny is None else np.maximum(logmod, PAIR_CANCEL, out=logmod), out=logmod)
         logmod *= 0.5
         floored = 0
-        if tiny is not None:
+        if tiny is not None:  # clamped above: a product of a few eps may be 0 or below
+            x, y = np.divmod(tiny, n - i0)
+            mod = np.abs(1 - r * (g[i0 + x] * np.conj(g[i0 + y])))  # np.hypot(re, im)
             logmod.ravel()[tiny] = np.log(np.maximum(mod, LOG_FLOOR))
             below = mod < LOG_FLOOR
-            right = tiny % (n - i0) >= i1 - i0
-            floored = int(np.count_nonzero(below) + np.count_nonzero(below & right))
-        if u is not None:
-            np.matmul(u_rows[i0:i1], u_cols[:, i0:], out=pair)
-        yield i0, i1, logmod, floored, None if u is None else pair
+            floored = int(np.count_nonzero(below) + np.count_nonzero(below & (y >= i1 - i0)))
+        if pair:
+            np.matmul(u_rows[i0:i1], u_cols[:, i0:], out=pair[0])
+        yield i0, i1, logmod, floored, pair[0] if pair else None
 
 
 def log_integral_bound_check(
@@ -352,18 +349,18 @@ def identity_check(
     report per (n, k) of ``ns`` x ``ks``.  The double sum factors (Fubini)
     as |G^{-1} sum over E of u|^2, so the rhs takes |E| adds, not |E|^2
     products, and no cap on |E| applies.  It is still a direct sum of the
-    table's integrand on the same E, checked against the NUFFT entry.
-    Each n gets a one-row table: the NUFFT grid depends on the row range,
-    so one table over all of ``ns`` would move lhs at rounding level.
+    table's integrand on the same E, checked against the entries of one
+    table over rows min(ns)..max(ns); both take one _masked_geometry.
     """
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
+    geometry = _masked_geometry(E, nu)
+    table = compute_b_table(f, E, nu, (min(ns), max(ns)), ks, geometry)
     reports = []
     for n in ns:
-        table = compute_b_table(f, E, nu, (n, n), ks)
         for k in ks:
             lhs = abs2(table.entry(n, k))
-            rhs = abs2(csum(masked_integrand(E, nu, n, k)) / sampling.size)
+            rhs = abs2(csum(masked_integrand(geometry, n, k)) / sampling.size)
             reports.append(_report("identity", {"n": n, "k": k}, lhs, rhs, DEFAULT_ENTRY_TOL,
                                    {"two_sided": True, "abs_difference": abs(lhs - rhs)}))
     return reports
@@ -393,7 +390,8 @@ def abel_series_check(
     C = theorem_constant(f.coefficient_at_zero())
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
-    table = compute_b_table(f, E, nu, (N - n_trunc, N + n_trunc), [k])
+    geometry = _masked_geometry(E, nu)
+    table = compute_b_table(f, E, nu, (N - n_trunc, N + n_trunc), [k], geometry)
     series_bound = C - 2.0 * math.log(r)
 
     # rows N - n_trunc .. N + n_trunc; n = 1..n_trunc pairs row N + n with N - n
@@ -403,8 +401,8 @@ def abel_series_check(
     lhs = float(partials[-1]) if partials.size else 0.0
     max_partial = float(partials.max(initial=0.0))
 
-    u = masked_integrand(E, nu, N, k)
-    g = masked_integrand(E, nu, 1, 0)  # f/|f| e^{-2 pi i nu.x}, the integrand of b_{1,1}
+    u = masked_integrand(geometry, N, k)
+    g = masked_integrand(geometry, 1, 0)  # f/|f| e^{-2 pi i nu.x}, the integrand of b_{1,1}
     total = 0.0
     for i0, i1, logmod, _, pair in _pair_sweep(g, r, u):
         pair *= logmod

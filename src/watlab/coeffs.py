@@ -159,10 +159,11 @@ def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
     return phase, theta
 
 
-def masked_integrand(E: UnitModulusSet, nu: Sequence[int], n: int, k: int) -> np.ndarray:
+def masked_integrand(geometry, n: int, k: int) -> np.ndarray:
     """The integrand of b_{n,n-k} on E, the table engine's source term
-    u = e^{i n theta} e^{2 pi i k nu . x} = (f/|f|)^n e^{-2 pi i (n-k) nu . x}."""
-    phase, theta = _masked_geometry(E, nu)
+    u = e^{i n theta} e^{2 pi i k nu . x} = (f/|f|)^n e^{-2 pi i (n-k) nu . x},
+    from the ``geometry`` _masked_geometry(E, nu)."""
+    phase, theta = geometry
     return np.exp(1j * n * theta) * np.exp(2j * np.pi * k * phase)
 
 
@@ -259,10 +260,11 @@ def compute_b_table(
     nu: Sequence[int],
     n_range: tuple[int, int],
     k_window,
+    geometry=None,  # _masked_geometry(E, nu), if the caller has it
 ) -> DiagonalTable:
     res = E.sampling.shape
     nu, n_min, n_max, k_values = check_table(f, nu, n_range, k_window, res)
-    phase, theta = _masked_geometry(E, nu)
+    phase, theta = geometry or _masked_geometry(E, nu)
     values = _nufft_type1(theta, phase, k_values, n_min, n_max) / E.sampling.size
     peak = float(np.abs(values).max()) if values.size else 0.0
     if peak > E.measure + ENTRY_BOUND_SLACK:
@@ -289,4 +291,4 @@ def brute_force_b(
     fit_grid(res, required_grid(f, nu, abs(n), abs(k)), "character (n-k)nu")
     sampling = f.evaluate_on_grid(res)
     E = unit_modulus_set(sampling, e_tol)
-    return csum(masked_integrand(E, nu, n, k)) / sampling.size
+    return csum(masked_integrand(_masked_geometry(E, nu), n, k)) / sampling.size

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .coeffs import k_values_for_window
+from .coeffs import TableError, check_table, k_values_for_window
 from .iterlog import DomainError, positivity_threshold
 from .lattice import HalfSpace, LatticeError
 from .symbols import (
@@ -20,7 +20,7 @@ from .symbols import (
 
 SCHEMA_VERSION = 1
 # Cells of a log_integral or abel grid.  A pair-grid check's time grows with
-# the square of its grid (at 2^14 cells, about 1.5 s for log_integral at two
+# the square of its grid (at 2^14 cells, about 0.7 s for log_integral at two
 # r on one x86 thread), so a run refuses a larger grid as its config loads.
 MAX_DOUBLE_GRID_POINTS = 2**14
 
@@ -160,20 +160,20 @@ def _resolution(what: str, grid, dimension: int) -> tuple[int, ...]:
 
 def _check_grid(cid: str, c: dict, symbol: TrigSymbol, nu: tuple[int, ...]) -> None:
     """Refuse a check grid with the wrong axes, a log_integral or abel grid of
-    more than MAX_DOUBLE_GRID_POINTS cells, or a grid (but for szego on d=1)
-    below what the symbol and identity's or abel's rows need."""
+    more than MAX_DOUBLE_GRID_POINTS cells, a grid (but for szego on d=1) below
+    what the symbol and abel's rows need, or identity's table by check_table."""
     res = _resolution(f"check {cid!r}", c["grid"], symbol.dimension)
     cells = math.prod(res)
     _require(cid not in ("log_integral", "abel") or cells <= MAX_DOUBLE_GRID_POINTS,
              f"check {cid!r}: double-grid check needs <= {MAX_DOUBLE_GRID_POINTS} cells, got {cells}")
-    if cid == "szego" and symbol.dimension == 1:
-        return
-    n_abs = k_abs = 0
     if cid == "identity":
-        n_abs, k_abs = max(map(abs, c["n"])), max(map(abs, c["k"]))
-    if cid == "abel":
-        n_abs, k_abs = abs(c["N"]) + c["n_trunc"], abs(c["k"])
-    fit_grid(res, required_grid(symbol, nu, n_abs, k_abs), f"what check {cid!r} samples")
+        try:
+            check_table(symbol, nu, (min(c["n"]), max(c["n"])), c["k"], res)
+        except TableError as exc:
+            raise ConfigError(f"check {cid!r}: {exc}") from exc
+    elif cid != "szego" or symbol.dimension > 1:
+        n_abs, k_abs = (abs(c["N"]) + c["n_trunc"], abs(c["k"])) if cid == "abel" else (0, 0)
+        fit_grid(res, required_grid(symbol, nu, n_abs, k_abs), f"what check {cid!r} samples")
 
 
 def _resolve_check(c: dict, symbol: TrigSymbol, nu: tuple, grid: tuple, k_window: int) -> dict:

@@ -19,7 +19,7 @@ from watlab.bounds import (
     szego_check,
     theorem_constant,
 )
-from watlab.coeffs import TableError, abs2, compute_b_table, masked_integrand
+from watlab.coeffs import TableError, abs2, brute_force_b, compute_b_table, masked_integrand
 from watlab.iterlog import find_constants
 from watlab.symbols import ResolutionError, TrigSymbol, grid_phase, sup_norm, unit_modulus_set
 
@@ -233,6 +233,30 @@ def test_identity_sweep(blaschke_half):
         assert rep.details["abs_difference"] <= 1e-10
 
 
+@pytest.mark.parametrize("name, e_tol", [("blaschke", 1e-9), ("arc", 0.05)])
+def test_identity_sparse_n_list(name, e_tol):
+    """A sparse, sign-mixed n list: lhs comes from one table over rows
+    -2..16, within 1e-14 of each n's one-row table and of brute_force_b;
+    rhs is G^{-1} sum over E of the integrand, summed for each point alone,
+    to the last bit."""
+    f, ns, ks, grid = PAIR_SYMBOLS[name], [-2, 1, 4, 9, 16], [-3, 0, 2], 256
+    sampling = f.evaluate_on_grid(grid)
+    E = unit_modulus_set(sampling, e_tol)
+    mask = E.mask.ravel()
+    phase = grid_phase(sampling.shape, (1,)).ravel()[mask]
+    theta = np.angle(sampling.ravel()[mask]) - 2 * np.pi * phase
+    reports = identity_check(f, (1,), ns, ks, grid, e_tol=e_tol)
+    assert [(rep.params["n"], rep.params["k"]) for rep in reports] == [(n, k) for n in ns for k in ks]
+    for rep in reports:
+        n, k = rep.params["n"], rep.params["k"]
+        u = np.exp(1j * n * theta) * np.exp(2j * np.pi * k * phase)
+        assert rep.rhs == abs2(np.sum(u).item() / grid)
+        one_row = compute_b_table(f, E, (1,), (n, n), [k]).entry(n, k)
+        for reference in (one_row, brute_force_b(f, (1,), n, k, grid, e_tol)):
+            assert rep.lhs == pytest.approx(abs2(reference), rel=0, abs=1e-14)
+        assert rep.passed
+
+
 def test_identity_degenerate(torus2_degenerate):
     """On a null E both sides are sums over no cells, exactly 0."""
     (rep,) = identity_check(torus2_degenerate, (1, 1), [3], [1], (256, 256))
@@ -316,7 +340,8 @@ def outer_masked_u(f, nu, n, k, grid, e_tol):
     mask = E.mask.ravel()
     vals = sampling.ravel()[mask]
     phase = grid_phase(sampling.shape, nu).ravel()[mask]
-    return (vals / np.abs(vals), phase, masked_integrand(E, nu, n, k)), sampling.size
+    u = masked_integrand(coeffs._masked_geometry(E, nu), n, k)
+    return (vals / np.abs(vals), phase, u), sampling.size
 
 
 def fsum_complex(x):
@@ -328,6 +353,12 @@ def fsum_complex(x):
 # Each block's csum and the running total round at ~log2(cells) eps; the pair
 # sums below are O(1), so 2e-15 is some ten ulps.
 PAIR_TOL = 2e-15
+# r = 0.99 is a case of its own, not a loosened PAIR_TOL: |F| >= 1 - r = 0.01,
+# and |F|^2 as one rank-4 product is off by a few eps, so by ~1e-12 relative on
+# the cells nearest that bound.  Over PAIR_CASES and every block size the pair
+# sums met their references to 2.3e-15 (log_integral) and 8.3e-15 (abel).
+PAIR_TOL_NEAR_ONE = 2e-14
+PAIR_RS = ((0.5, PAIR_TOL), (0.9, PAIR_TOL), (0.99, PAIR_TOL_NEAR_ONE))
 
 
 # 700 and 5000 cells are no multiple of a grid side, so blocks of whole rows
@@ -342,19 +373,21 @@ def test_log_integral_blocks_match_outer_product(small_blocks, name, nu, grid, e
     f = PAIR_SYMBOLS[name]
     sampling = f.evaluate_on_grid(grid)
     vals = sampling.ravel()
-    mods = outer_kernel_modulus(vals, grid_phase(sampling.shape, nu).ravel(), 0.5)
-    abslog = np.abs(np.log(np.clip(mods, LOG_FLOOR, None)))
     mask = np.abs(np.abs(vals) - 1.0) <= e_tol
     assert name == "blaschke" or not mask.all()
-    (rep,) = log_integral_bound_check(f, nu, [0.5], grid, e_tol=e_tol)
-    assert rep.lhs == pytest.approx(math.fsum(abslog.ravel().tolist()) / sampling.size**2, rel=0, abs=PAIR_TOL)
-    assert rep.rhs == math.log(4.0 / (0.5 * abs(f.coefficient_at_zero()) ** 2))
-    restricted = math.fsum(abslog[np.outer(mask, mask)].tolist()) / sampling.size**2
-    assert rep.details == {
-        "excluded_nodes": int(np.count_nonzero(mods < LOG_FLOOR)),
-        "lhs_restricted_to_E": pytest.approx(restricted, rel=0, abs=PAIR_TOL),
-        "floor": LOG_FLOOR,
-    }
+    for r, tol in PAIR_RS:
+        mods = outer_kernel_modulus(vals, grid_phase(sampling.shape, nu).ravel(), r)
+        abslog = np.abs(np.log(np.clip(mods, LOG_FLOOR, None)))
+        (rep,) = log_integral_bound_check(f, nu, [r], grid, e_tol=e_tol)
+        whole = math.fsum(abslog.ravel().tolist()) / sampling.size**2
+        assert rep.lhs == pytest.approx(whole, rel=0, abs=tol)
+        assert rep.rhs == math.log(4.0 / (r * abs(f.coefficient_at_zero()) ** 2))
+        restricted = math.fsum(abslog[np.outer(mask, mask)].tolist()) / sampling.size**2
+        assert rep.details == {
+            "excluded_nodes": int(np.count_nonzero(mods < LOG_FLOOR)),
+            "lhs_restricted_to_E": pytest.approx(restricted, rel=0, abs=tol),
+            "floor": LOG_FLOOR,
+        }
 
 
 @pytest.mark.parametrize("f", [TrigSymbol.blaschke([0.5]), TrigSymbol.constant(1j)],
@@ -371,6 +404,7 @@ def test_log_integral_full_e_restriction_is_lhs(small_blocks, f):
 def test_identity_blocks_match_outer_product(small_blocks, name, nu, grid, e_tol):
     # identity sums its integrand once and walks no blocks: under every
     # block size it must equal the exactly rounded sum of the outer product.
+    # For one n, its table over rows min(n)..max(n) is the one row n.
     f = PAIR_SYMBOLS[name]
     for n, k in ((1, 0), (3, -1), (-2, 2)):
         (_, _, u), size = outer_masked_u(f, nu, n, k, grid, e_tol)
@@ -391,17 +425,18 @@ def test_abel_blocks_match_outer_product(small_blocks, monkeypatch, name, nu, gr
     # the table shares the check's grid: 16 x 16 resolves rows up to 1 + 6
     n_trunc = 6 if name == "band" else 20
     (vals, phase, u), size = outer_masked_u(f, nu, 1, 0, grid, e_tol)
-    weight = np.log(1.0 / np.clip(outer_kernel_modulus(vals, phase, 0.9), LOG_FLOOR, None))
-    rhs = 2.0 * fsum_complex(np.outer(u, np.conj(u)) * weight).real / size**2
-    rep = abel_series_check(f, nu, 1, 0, 0.9, n_trunc, grid, e_tol=e_tol)
+    reps = [abel_series_check(f, nu, 1, 0, r, n_trunc, grid, e_tol=e_tol) for r, _ in PAIR_RS]
     monkeypatch.undo()  # the series side does not depend on the block size
-    whole = abel_series_check(f, nu, 1, 0, 0.9, n_trunc, grid, e_tol=e_tol)
-    assert rep.lhs == whole.lhs
-    assert rep.rhs == pytest.approx(rhs, rel=0, abs=PAIR_TOL)
-    assert rep.details["abs_difference"] == abs(rep.lhs - rep.rhs)
-    del rep.details["abs_difference"], whole.details["abs_difference"]
-    assert rep.details == whole.details
-    assert rep.passed == whole.passed
+    for (r, tol), rep in zip(PAIR_RS, reps):
+        weight = np.log(1.0 / np.clip(outer_kernel_modulus(vals, phase, r), LOG_FLOOR, None))
+        rhs = 2.0 * fsum_complex(np.outer(u, np.conj(u)) * weight).real / size**2
+        whole = abel_series_check(f, nu, 1, 0, r, n_trunc, grid, e_tol=e_tol)
+        assert rep.lhs == whole.lhs
+        assert rep.rhs == pytest.approx(rhs, rel=0, abs=tol)
+        assert rep.details["abs_difference"] == abs(rep.lhs - rep.rhs)
+        del rep.details["abs_difference"], whole.details["abs_difference"]
+        assert rep.details == whole.details
+        assert rep.passed == whole.passed
 
 
 # f = 2 with nu = 0: g = f e^{-2 pi i nu.x} = 2, so 1 - 0.25 |g|^2 and F vanish
@@ -443,6 +478,19 @@ def test_kernel_floor_is_on_the_modulus(monkeypatch, i0, i1):
     below = mods[i0:i1, i0:] < LOG_FLOOR
     assert excluded == np.count_nonzero(below) + np.count_nonzero(below[:, i1 - i0:])
     assert excluded == (5 if i1 == 3 else 3)
+
+
+def test_pair_sweep_cancelled_cells_take_hypot():
+    """At r = 1 - 1e-9, |F|^2 as the rank-4 product is a difference of terms
+    near 1: on the diagonal (|F| = 1e-9) and at a shift of 1e-7 turns it
+    would keep only rounding noise.  Those cells fall below PAIR_CANCEL and
+    take |F| from np.hypot; the rest keep the product, eps / |F|^2 relative."""
+    g = np.exp(2j * np.pi * np.array([0.0, 1e-7, 1e-3, 0.25]))
+    r = 1 - 1e-9
+    mods = np.abs(1 - r * np.outer(g, np.conj(g)))
+    _, _, logmod, excluded, _ = next(bounds._pair_sweep(g, r))
+    assert excluded == 0
+    assert np.abs(logmod - np.log(mods)).max() <= 1e-10
 
 
 # |F| is 0, 1e-310 and 1e-200 among 1, 1 + 1e-200i and 1 + 1e-310i, and 1

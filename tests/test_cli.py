@@ -663,9 +663,24 @@ def test_config_objects_refuse_unknown_fields(doc, message):
     assert str(info.value) == message
 
 
+# identity builds one table over rows min(n)..max(n) and all its k: here
+# 4194304 x 7 entries, above coeffs.MAX_TABLE_ENTRIES (2^24), though the grid
+# resolves every character and each point alone would fit.
+IDENTITY_TABLE_ENTRY = {"id": "identity", "n": [1, 4194304], "k": [-3, -2, -1, 0, 1, 2, 3],
+                        "grid": 16777216}
+
+
+def test_identity_table_is_judged_by_the_table_rule():
+    """identity's table is judged at load by coeffs.check_table, the run
+    table's rule, and refused as a ConfigError that names the check."""
+    with pytest.raises(ConfigError, match=r"^check 'identity': 4194304 x 7 table entries exceed 16777216$"):
+        RunConfig.from_dict(small_preset(checks=[IDENTITY_TABLE_ENTRY]))
+
+
 # Runs refused as input: (argv without --out, a config written for --config
 # or None, a cap of watlab.coeffs lowered to 1024 or None).
 REFUSED_RUNS = [
+    pytest.param(["check"], small_preset(checks=[IDENTITY_TABLE_ENTRY]), None, id="identity-table"),
     *(pytest.param(["check"], p.values[0], None, id=p.id) for p in UNKNOWN_FIELDS),
     *(pytest.param(["check"], small_preset(checks=[e]), None, id=f"{e['id']}-grid-{e['grid']}")
       for e in BAD_GRID_ENTRIES),
