@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .accum import csum, log_quad
-from .coeffs import DiagonalTable, _masked_geometry, abs2, compute_b_table, masked_integrand
+from .coeffs import DiagonalTable, abs2, compute_b_table, masked_geometry, masked_integrand
 from .iterlog import big_l, find_constants, log_iter, sample_ladder
 from .lattice import HalfSpace
 from .symbols import DEFAULT_E_TOL, TrigSymbol, grid_phase, unit_modulus_set
@@ -350,12 +350,12 @@ def identity_check(
     as |G^{-1} sum over E of u|^2, so the rhs takes |E| adds, not |E|^2
     products, and no cap on |E| applies.  It is still a direct sum of the
     table's integrand on the same E, checked against the entries of one
-    table over rows min(ns)..max(ns); both take one _masked_geometry.
+    table over rows min(ns)..max(ns): its cost grows with that span.
     """
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
-    geometry = _masked_geometry(E, nu)
-    table = compute_b_table(f, E, nu, (min(ns), max(ns)), ks, geometry)
+    geometry = masked_geometry(E, nu)
+    table = compute_b_table(f, E, nu, (min(ns), max(ns)), ks)
     reports = []
     for n in ns:
         for k in ks:
@@ -390,8 +390,8 @@ def abel_series_check(
     C = theorem_constant(f.coefficient_at_zero())
     sampling = f.evaluate_on_grid(resolution)
     E = unit_modulus_set(sampling, e_tol)
-    geometry = _masked_geometry(E, nu)
-    table = compute_b_table(f, E, nu, (N - n_trunc, N + n_trunc), [k], geometry)
+    geometry = masked_geometry(E, nu)
+    table = compute_b_table(f, E, nu, (N - n_trunc, N + n_trunc), [k])
     series_bound = C - 2.0 * math.log(r)
 
     # rows N - n_trunc .. N + n_trunc; n = 1..n_trunc pairs row N + n with N - n

@@ -4,7 +4,7 @@ The paper's b_{n,n-k} integrates f^n e^{-2 pi i (n-k) nu . x} over
 E = {|f| = 1}.  On a grid E is the mask {||f| - 1| <= e_tol}
 (symbols.unit_modulus_set), and the integrand there takes f/|f| in place of
 f.  (f/|f|)^n equals f^n on the true E and differs from it by about
-|n| max_E ||f| - 1| per cell.  _masked_geometry alone turns a sampling and
+|n| max_E ||f| - 1| per cell.  masked_geometry alone turns a sampling and
 its mask into per-cell data on E.  With theta = arg f - 2 pi nu . x,
 b_{n,n-k} = G^{-1} sum_{x in E} e^{i n theta(x)} e^{2 pi i k nu . x}, so each
 diagonal k, over all n (negative n included) and in any dimension, is one
@@ -149,7 +149,7 @@ class DiagonalTable:
                 fh.write("".join(block))
 
 
-def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
+def masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
     """Per-cell data on E, in grid order: nu . x and the phase
     theta = arg f - 2 pi nu . x that the table engine transforms."""
     idx = np.flatnonzero(E.mask)
@@ -162,7 +162,7 @@ def _masked_geometry(E: UnitModulusSet, nu: Sequence[int]):
 def masked_integrand(geometry, n: int, k: int) -> np.ndarray:
     """The integrand of b_{n,n-k} on E, the table engine's source term
     u = e^{i n theta} e^{2 pi i k nu . x} = (f/|f|)^n e^{-2 pi i (n-k) nu . x},
-    from the ``geometry`` _masked_geometry(E, nu)."""
+    from the per-cell data ``geometry`` = masked_geometry(E, nu)."""
     phase, theta = geometry
     return np.exp(1j * n * theta) * np.exp(2j * np.pi * k * phase)
 
@@ -260,17 +260,14 @@ def compute_b_table(
     nu: Sequence[int],
     n_range: tuple[int, int],
     k_window,
-    geometry=None,  # _masked_geometry(E, nu), if the caller has it
 ) -> DiagonalTable:
     res = E.sampling.shape
     nu, n_min, n_max, k_values = check_table(f, nu, n_range, k_window, res)
-    phase, theta = geometry or _masked_geometry(E, nu)
+    phase, theta = masked_geometry(E, nu)
     values = _nufft_type1(theta, phase, k_values, n_min, n_max) / E.sampling.size
     peak = float(np.abs(values).max()) if values.size else 0.0
     if peak > E.measure + ENTRY_BOUND_SLACK:
-        raise TableError(
-            f"entry bound violated: max |b| = {peak} > measure(E) = {E.measure}"
-        )
+        raise TableError(f"entry bound violated: max |b| = {peak} > measure(E) = {E.measure}")
     return DiagonalTable(
         nu=nu, n_min=n_min, n_max=n_max, k_values=k_values, values=values,
         resolution=res, e_tol=E.tol, e_measure=E.measure, degenerate=E.measure == 0.0,
@@ -291,4 +288,4 @@ def brute_force_b(
     fit_grid(res, required_grid(f, nu, abs(n), abs(k)), "character (n-k)nu")
     sampling = f.evaluate_on_grid(res)
     E = unit_modulus_set(sampling, e_tol)
-    return csum(masked_integrand(_masked_geometry(E, nu), n, k)) / sampling.size
+    return csum(masked_integrand(masked_geometry(E, nu), n, k)) / sampling.size

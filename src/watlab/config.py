@@ -15,7 +15,7 @@ from .coeffs import TableError, check_table, k_values_for_window
 from .iterlog import DomainError, positivity_threshold
 from .lattice import HalfSpace, LatticeError
 from .symbols import (
-    DEFAULT_E_TOL, SymbolError, TrigSymbol, check_resolution, fit_grid, required_grid,
+    DEFAULT_E_TOL, ResolutionError, SymbolError, TrigSymbol, check_resolution, fit_grid, required_grid,
 )
 
 SCHEMA_VERSION = 1
@@ -171,6 +171,8 @@ def _check_grid(cid: str, c: dict, symbol: TrigSymbol, nu: tuple[int, ...]) -> N
             check_table(symbol, nu, (min(c["n"]), max(c["n"])), c["k"], res)
         except TableError as exc:
             raise ConfigError(f"check {cid!r}: {exc}") from exc
+        except ResolutionError as exc:
+            raise ResolutionError(f"check {cid!r}: {exc}") from exc
     elif cid != "szego" or symbol.dimension > 1:
         n_abs, k_abs = (abs(c["N"]) + c["n_trunc"], abs(c["k"])) if cid == "abel" else (0, 0)
         fit_grid(res, required_grid(symbol, nu, n_abs, k_abs), f"what check {cid!r} samples")

@@ -340,7 +340,7 @@ def outer_masked_u(f, nu, n, k, grid, e_tol):
     mask = E.mask.ravel()
     vals = sampling.ravel()[mask]
     phase = grid_phase(sampling.shape, nu).ravel()[mask]
-    u = masked_integrand(coeffs._masked_geometry(E, nu), n, k)
+    u = masked_integrand(coeffs.masked_geometry(E, nu), n, k)
     return (vals / np.abs(vals), phase, u), sampling.size
 
 
@@ -548,7 +548,7 @@ def test_log_integral_matches_fourier_series(r, grid):
     kinks), and the two sides met to 2.2e-10 at worst."""
     f = TrigSymbol.blaschke([0.5])
     J, M = 4096, 2**20
-    phase, theta = coeffs._masked_geometry(unit_modulus_set(f.evaluate_on_grid(grid), 1e-9), (1,))
+    phase, theta = coeffs.masked_geometry(unit_modulus_set(f.evaluate_on_grid(grid), 1e-9), (1,))
     assert theta.size == grid  # E is the whole grid
     b = coeffs._nufft_type1(theta, phase, [0], -J, J)[:, 0] / grid
     t = 2 * np.pi * np.arange(M) / M

@@ -611,6 +611,7 @@ def test_coarse_check_grid_exits_before_table(tmp_path, capsys, doc, grid):
     assert run(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"smallest usable power-of-two grid: {grid}\n")
+    assert f"check {doc['checks'][0]['id']!r}" in err
     assert not (out / "table.csv").exists()
 
 
