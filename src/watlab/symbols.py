@@ -76,13 +76,8 @@ class UnitModulusSet:
 def grid_phase(resolution: Sequence[int], xi: Sequence[int]) -> np.ndarray:
     """Array of xi . x over the uniform grid, shaped like the grid."""
     res = tuple(int(g) for g in resolution)
-    phase = np.zeros(res)
-    for i, (g, x) in enumerate(zip(res, xi)):
-        coords = np.arange(g) / g
-        shape = [1] * len(res)
-        shape[i] = g
-        phase = phase + x * coords.reshape(shape)
-    return phase
+    axes = np.ix_(*(np.arange(g) / g for g in res))  # axis i's coordinates, along axis i
+    return sum((x * coords for x, coords in zip(xi, axes)), np.zeros(res))
 
 
 @dataclass(frozen=True)

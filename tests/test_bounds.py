@@ -21,7 +21,9 @@ from watlab.bounds import (
 )
 from watlab.coeffs import TableError, abs2, brute_force_b, compute_b_table, masked_integrand
 from watlab.iterlog import find_constants
-from watlab.symbols import ResolutionError, TrigSymbol, grid_phase, sup_norm, unit_modulus_set
+from watlab.lattice import HalfSpace
+from watlab.symbols import (ResolutionError, SymbolError, TrigSymbol, grid_phase, sup_norm,
+                            unit_modulus_set)
 
 EQUALITY_SYMBOL = TrigSymbol.trig_polynomial(1, {(0,): 0.5, (1,): 0.5})
 
@@ -151,13 +153,21 @@ def test_szego_equality_symbol(neg_halfline):
 def test_szego_constant(neg_halfline):
     rep = szego_check(TrigSymbol.constant(0.7), neg_halfline, 256)
     assert rep.passed
-    assert rep.rhs == pytest.approx(math.log(0.7), abs=1e-12)
+    assert rep.rhs == math.log(0.7)
+    assert rep.details == {"method": "constant", "jensen_slices": 0}
 
 
 def test_szego_blaschke(neg_halfline, blaschke_half):
     rep = szego_check(blaschke_half, neg_halfline, 4096)
     assert rep.passed
-    assert rep.rhs == pytest.approx(0.0, abs=1e-12)  # inner: log|f| = 0
+    assert rep.rhs == 0.0  # inner: log|f| = 0
+    assert rep.details == {"method": "inner", "jensen_slices": 0}
+
+
+def test_log_modulus_integral_refuses_zero_constant():
+    """log|0| is -inf everywhere: no finite integral to report."""
+    with pytest.raises(HypothesisViolation, match="not integrable"):
+        log_modulus_integral(TrigSymbol.constant(0), 64)
 
 
 def test_szego_random_polynomials(neg_halfline):
@@ -187,10 +197,83 @@ def test_szego_hypothesis_gates(neg_halfline):
 
 
 def test_log_modulus_integral_equality_case():
-    val, method, excluded = log_modulus_integral(EQUALITY_SYMBOL, 256)
+    val, method, _ = log_modulus_integral(EQUALITY_SYMBOL, 256)
     assert method == "roots"
-    assert excluded == 0
     assert val == pytest.approx(-math.log(2), abs=1e-12)
+
+
+def test_szego_torus2_degenerate_is_an_equality_case(torus2_degenerate):
+    """(1 + e^{2 pi i (x+y)})/2 vanishes on a line, where a grid mean dropped
+    256 nodes and read 0.024 high; Jensen along y gives log 1/2 = log f-hat(0)."""
+    rep = szego_check(torus2_degenerate, HalfSpace.standard(2).reflect(), [256, 256])
+    assert rep.passed and abs(rep.margin) <= 1e-15
+    assert rep.details == {"method": "jensen", "jensen_slices": 256}
+
+
+@pytest.mark.parametrize("terms", [
+    {(0, 0): 0.5, (1, 1): 0.5},  # torus2-degenerate: one root on |z| = 1 at every x
+    {(0, 0): 0.5, (3, 1): 0.5},
+    {(0, 0): 0.25, (1, 1): 0.5, (2, 2): 0.25},  # a double root on |z| = 1, off by ~1e-8
+], ids=["simple", "tilted", "double"])
+def test_jensen_root_on_circle_splits_no_panel(terms):
+    """A root on |z| = 1 for every x reads 1 +- rounding, which must not count as
+    crossing the circle from node to node: no panel is cut, and the rule is the mean
+    of one Jensen slice per node of the grid's first axis."""
+    f = TrigSymbol.trig_polynomial(2, terms)
+    val, method, nodes = log_modulus_integral(f, [64, 8])
+    assert (method, nodes) == ("jensen", 64)
+    assert val == pytest.approx(math.log(abs(f.coefficient_at_zero())), abs=1e-7)
+
+
+def test_jensen_top_term_that_cancels():
+    """The outer nodes are cell midpoints, so a top coefficient 1 - e^{2 pi i x},
+    0 at x = 0, leaves every slice of full degree; a top term that cancels at a
+    node all the same (x1 = x2 on equal axes) is refused, not divided by."""
+    f = TrigSymbol.trig_polynomial(2, {(0, 0): 0.5, (0, 1): 0.25, (1, 1): -0.25})
+    assert log_modulus_integral(f, [8, 4])[0] == pytest.approx(math.log(0.5), abs=1e-15)
+    g = TrigSymbol.trig_polynomial(3, {(0, 0, 0): 0.25, (0, 0, 1): 0.25, (1, -1, 1): -0.25})
+    with pytest.raises(SymbolError, match="top term along the last axis cancels"):
+        log_modulus_integral(g, [8, 8, 4])
+
+
+def test_jensen_smyth_known_answer():
+    """m(1 + x + y) = (3 sqrt 3 / 4 pi) L(chi_-3, 2) (Smyth, Bull. Austral. Math. Soc.
+    23, 1981).  The root -(1 + e^{2 pi i x}) crosses |z| = 1 at x = 1/3 and 2/3,
+    where the panels are cut."""
+    f = TrigSymbol.trig_polynomial(2, {(0, 0): 1 / 3, (1, 0): 1 / 3, (0, 1): 1 / 3})
+    for grid, panels in (([4, 4], 1 + 2), ([256, 4], 16 + 2)):
+        val, method, nodes = log_modulus_integral(f, grid)
+        assert (method, nodes) == ("jensen", 16 * panels)
+        assert val == pytest.approx(0.3230659472194505 - math.log(3), abs=1e-13)
+
+
+def test_jensen_d3_known_answer():
+    """m(1 + x + y + z) = 7 zeta(3) / (2 pi^2) (Smyth); the plain outer mean is
+    2.3e-8 off on a 64^2 outer grid, 3.5e-13 on 1024^2."""
+    f = TrigSymbol.trig_polynomial(3, {(0, 0, 0): 0.25, (1, 0, 0): 0.25,
+                                       (0, 1, 0): 0.25, (0, 0, 1): 0.25})
+    zeta3 = 1.2020569031595942
+    val, method, nodes = log_modulus_integral(f, [64, 64, 4])
+    assert (method, nodes) == ("jensen", 64**2)
+    assert val == pytest.approx(7 * zeta3 / (2 * math.pi**2) - math.log(4), abs=1e-6)
+
+
+def test_jensen_product_is_sum_of_factors():
+    """log|p(x) q(y)| integrates to the sum of the two d = 1 roots values when
+    neither factor vanishes on the circle; a y-free symbol (no roots along y) too.  No
+    root crosses |z| = 1, so the outer rule is the mean of the grid's nodes: at 32 nodes
+    it is off by 1.4e-14, two 16-point Gauss-Legendre panels by 1e-9."""
+    p = {0: 0.5, 1: 0.3, 2: 0.1}
+    q = {0: 0.6, 1: -0.2j, 3: 0.1}
+    one = {name: log_modulus_integral(TrigSymbol.trig_polynomial(1, {(j,): c for j, c in d.items()}), 2)
+           for name, d in (("p", p), ("q", q))}
+    assert one["p"][1] == one["q"][1] == "roots"
+    pq = TrigSymbol.trig_polynomial(2, {(i, j): a * b for i, a in p.items() for j, b in q.items()})
+    for g in (32, 256):
+        val, _, nodes = log_modulus_integral(pq, [g, 8])
+        assert nodes == g and val == pytest.approx(one["p"][0] + one["q"][0], abs=1e-13)
+    p_only = TrigSymbol.trig_polynomial(2, {(i, 0): a for i, a in p.items()})
+    assert log_modulus_integral(p_only, [256, 2])[0] == pytest.approx(one["p"][0], abs=1e-14)
 
 
 # -- double-integral checks --------------------------------------------------
