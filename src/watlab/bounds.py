@@ -9,7 +9,7 @@ takes only what a run config sets; its tolerance is a constant of this module.
 Every verdict but the strict Cauchy lemma's comes from one rule, _passes.
 The grid checks that take a list (identity's n and k, log_integral's r) sample
 their grid and find E once per call and return one report per point.  szego
-samples none: log_modulus_integral is exact per family and uses Jensen's formula.
+samples none: it takes the symbol's own log_mean, exact per family.
 
 The double-grid checks (log-integral bound, Abel series) sum functions of
 a pair of cells that are symmetric in the pair, so they walk only the upper
@@ -30,12 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .accum import csum, csum_rows, gauss_legendre, log_quad
+from .accum import csum, log_quad
 from .coeffs import DiagonalTable, abs2, compute_b_table, masked_geometry, masked_integrand
 from .iterlog import big_l, find_constants, log_iter, sample_ladder
 from .lattice import HalfSpace
-from .symbols import (DEFAULT_E_TOL, SymbolError, TrigSymbol, check_resolution, grid_phase,
-                      unit_modulus_set)
+from .symbols import DEFAULT_E_TOL, HypothesisViolation, TrigSymbol, grid_phase, unit_modulus_set
 
 DEFAULT_ENTRY_TOL = 1e-9
 DEFAULT_SZEGO_TOL = 1e-6
@@ -43,8 +42,6 @@ DEFAULT_LOG_BOUND_TOL = 5e-2
 # abel_series: the closed form's tolerance beyond the series tail bound
 ABEL_BASE_TOL = 1e-8
 LOG_FLOOR = 1e-300
-# szego's crossings count |rho| > 1 + ROOT_TOL: a root on |z| = 1 reads 1 +- 2e-8 if double.
-ROOT_TOL = 1e-7
 # Cells of one triangle block of a pair grid: 512 KiB per real array.  The
 # block size bounds a double-grid check's memory, one such array of scratch
 # (two for abel) whatever its grid.  The block partition fixes which cells each
@@ -54,10 +51,6 @@ PAIR_BLOCK_CELLS = 2**16
 # |F|^2 as one product of terms near 1 is off by a few eps, eps / |F|^2 relative,
 # which passes 2e-8 below this level: those cells take |F| from np.hypot.
 PAIR_CANCEL = 1e-8
-
-
-class HypothesisViolation(ValueError):
-    """A precondition of the verified inequality fails for this input."""
 
 
 @dataclass
@@ -191,70 +184,13 @@ def check_mean_bound_iv(
 # -- geometric-mean inequality ------------------------------------------------
 
 
-def _jensen_slices(f: TrigSymbol, outer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """At each row x' of ``outer``, Jensen's log|c_top| + sum log max(1, |rho|) over the roots
-    rho of f(x', .) as a polynomial in e^{2 pi i x_d} (the integral of log|f(x', .)|), and how
-    many have |rho| > 1 + ROOT_TOL: companion-matrix eigenvalues, PAIR_BLOCK_CELLS at a time."""
-    xi = np.array([p for p, _ in f.spectrum])
-    low, m = xi[:, -1].min(), int(np.ptp(xi[:, -1]))
-    onehot, cs = np.eye(m + 1)[xi[:, -1] - low], np.array([c for _, c in f.spectrum])
-    step, logs, counts = max(1, PAIR_BLOCK_CELLS // max(m * m, len(xi))), [], []
-    for s in range(0, len(outer), step):
-        terms = cs * np.exp(2j * np.pi * (outer[s:s + step] @ xi[:, :-1].T))
-        coeffs = terms.real @ onehot + 1j * (terms.imag @ onehot)  # complex @ pages in 0.3 MiB more
-        if not coeffs[:, m].all():  # a degree drop: the companion matrix is undefined
-            raise SymbolError("f's top term along the last axis cancels at an outer node")
-        comp = np.zeros((len(coeffs), m, m), dtype=np.complex128)
-        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        comp[:, :, -1:] = -(coeffs[:, :m] / coeffs[:, m:])[:, :, None]
-        mods = np.abs(np.linalg.eigvals(comp))
-        logs.append(np.log(np.abs(coeffs[:, m])) + csum_rows(np.log(np.maximum(1.0, mods))))
-        counts.append(np.count_nonzero(mods > 1 + ROOT_TOL, axis=1))
-    return np.concatenate(logs), np.concatenate(counts)
-
-
-def log_modulus_integral(
-    f: TrigSymbol, resolution: Sequence[int] | int
-) -> tuple[float, str, int]:
-    """Integral of log |f| over the torus, its method, and how many Jensen slices
-    its rule sums.  A Blaschke product is inner (0), a constant c gives log|c|, a d = 1
-    polynomial Jensen's formula.  In d >= 2 Jensen along the last axis (Boyd, Canad.
-    Math. Bull. 24, 1981) is integrated over the grid's outer axes by the mean of its
-    nodes, geometric in G on a smooth periodic integrand.  Where in d = 2 a root crosses
-    |z| = 1 (a kink), 16-point Gauss-Legendre panels, one per 16 nodes, are cut there."""
-    res = f.sampling_grid(resolution) if f.dimension > 1 else check_resolution(resolution, 1)
-    if f.family is not None:  # a Blaschke product is inner: |f| = 1
-        c = abs(f.params[0]) if f.family == "constant" else 1.0
-        if c == 0:
-            raise HypothesisViolation("log|f| is not integrable: f = 0")
-        return math.log(c), "constant" if f.family == "constant" else "inner", 0
-    # cell midpoints: at x' = 0 every phase is 0, where a sum like 1 - e^{2 pi i x} cancels
-    outer = (np.indices(res[:-1]).reshape(f.dimension - 1, math.prod(res[:-1])).T + 0.5) / res[:-1]
-    logs, count = _jensen_slices(f, outer)  # a d = 1 polynomial: one point, no coordinates
-    j = np.flatnonzero(count != np.roll(count, -1))  # in d = 2: a crossing in (j + 1/2, j + 3/2) / G
-    if f.dimension != 2 or not j.size:
-        return csum(logs) / len(outer), "roots" if f.dimension == 1 else "jensen", len(outer)
-    hi = (j + 1.5) / res[0]  # each crossing lies in (hi - 1/G, hi]
-    for w in 0.5 ** np.arange(1, 54) / res[0]:  # bisect down to 2^-53 / G
-        past = _jensen_slices(f, (hi - w)[:, None] % 1)[1] != count[j]
-        hi = np.where(past, hi - w, hi)
-    edges = np.sort(np.concatenate([np.linspace(0, 1, max(1, res[0] // 16) + 1), hi % 1]))
-    x, dp = gauss_legendre(16)
-    half = np.diff(edges)[:, None] / 2
-    nodes = edges[:-1, None] + half * (1 + x)
-    logs = _jensen_slices(f, nodes.reshape(-1, 1))[0].reshape(nodes.shape)
-    return csum(logs * half * 2 / ((1 - x * x) * dp * dp)), "jensen", nodes.size
-
-
-def szego_check(
-    f: TrigSymbol, halfspace: HalfSpace, resolution: Sequence[int] | int
-) -> BoundReport:
+def szego_check(f: TrigSymbol, halfspace: HalfSpace, resolution: Sequence[int] | int) -> BoundReport:
     """Geometric-mean inequality: integral of log|f| >= log |f-hat(0)| for a
     symbol whose spectrum avoids the half-space."""
     if not f.vanishes_on(halfspace):
         raise HypothesisViolation("spectrum does not vanish on the half-space")
     lhs = math.log(abs(nonzero_f0(f)))
-    rhs, method, slices = log_modulus_integral(f, resolution)
+    rhs, method, slices = f.log_mean(resolution)
     res = resolution if isinstance(resolution, int) else list(resolution)
     return _report("szego", {"resolution": res}, lhs, rhs, DEFAULT_SZEGO_TOL,
                    {"method": method, "jensen_slices": slices})

@@ -71,6 +71,14 @@ def _complex(name: str, pair) -> complex:
     return complex(*pair)
 
 
+# Symbol family -> its one params field and its symbol from (dimension, the field's JSON).
+FAMILIES = {
+    "blaschke": ("zeros", lambda dim, zs: TrigSymbol.blaschke(
+        [_complex("symbol.params.zeros", z) for z in zs])),
+    "constant": ("value", lambda dim, v: TrigSymbol.constant(_complex("symbol.params.value", v), dim)),
+}
+
+
 def parse_symbol(doc: dict) -> TrigSymbol:
     _fields("symbol", doc, ("dimension", "spectrum", "family", "params"))
     _require("spectrum" not in doc or not {"family", "params"} & set(doc),
@@ -82,21 +90,22 @@ def parse_symbol(doc: dict) -> TrigSymbol:
             coeffs = {}
             for item in doc["spectrum"]:
                 _fields("symbol.spectrum term", item, ("index", "re", "im"))
+                _require("index" in item, "symbol.spectrum term needs 'index'")
                 idx = tuple(_checked("symbol.spectrum.index", _int_list, item["index"]))
                 re_im = [item.get("re", 0.0), item.get("im", 0.0)]
                 coeffs[idx] = _complex("symbol.spectrum [re, im]", re_im)
             return TrigSymbol.trig_polynomial(dim, coeffs)
         family = doc.get("family")
-        _require(family in ("blaschke", "constant"), "symbol needs either a spectrum or a known family")
-        params = _fields("symbol.params", doc.get("params", {}),
-                         ["zeros" if family == "blaschke" else "value"])
-        if family == "blaschke":
-            _require(dim == 1, f"symbol.dimension: a blaschke symbol has dimension 1, got {dim}")
-            zeros = [_complex("symbol.params.zeros", z) for z in params["zeros"]]
-            return TrigSymbol.blaschke(zeros)
-        value = _complex("symbol.params.value", params["value"])
-        return TrigSymbol.constant(value, dimension=dim)
-    except (KeyError, TypeError, ValueError) as exc:
+        _require(isinstance(family, str) and family in FAMILIES,  # a list would not hash
+                 f"unknown symbol family {family!r}; known: {', '.join(FAMILIES)}")
+        key, build = FAMILIES[family]
+        params = _fields("symbol.params", doc.get("params", {}), [key])
+        _require(key in params, f"symbol.params needs {key!r}")
+        symbol = build(dim, params[key])  # a family may fix its dimension
+        _require(symbol.dimension == dim, f"symbol.dimension: a {family} symbol has "
+                                          f"dimension {symbol.dimension}, got {dim}")
+        return symbol
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, (SymbolError, ConfigError)):
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"malformed symbol spec: {exc}") from exc

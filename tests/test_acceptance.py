@@ -154,15 +154,22 @@ def test_criterion_7_oracle_equivalence():
     report(7, "production table matches brute-force oracle to 1e-9", ok)
 
 
-def blaschke_half_exact(n, ms):
-    """[z^m] ((z + a)/(1 + az))^n, a = 1/2, for each m in ``ms`` (n >= 1):
-    sum_j C(n, j) C(n+m-j-1, m-j) a^{n-j} (-a)^{m-j}, 0 for m < 0.  Over
-    2^{n+m} the terms are integers, so the sum is exact and its quotient
-    correctly rounded."""
-    top = [math.comb(n, j) << 2 * j for j in range(n + 1)]
-    alt = [(-1) ** i * math.comb(n - 1 + i, i) for i in range(max(ms) + 1)]
+def blaschke_exact(tenths, n, ms):
+    """[z^m] B^n for each m in ``ms`` (n >= 1), B the Blaschke product of the real
+    zeros p/10, p in ``tenths``: prod (z + p/10)/(1 + pz/10) = prod (10z + p)/(10 + pz).
+    Its numerator has integer coefficients N_l, and prod (10 + pz)^-n = 10^-nr sum_j c_j
+    10^-j z^j (r zeros) with c_j the Cauchy product of the C(n-1+j, j) (-p)^j.  So
+    [z^m] B^n = sum_l N_l c_{m-l} 10^l / 10^{nr+m}: an exact integer sum and one
+    correctly rounded quotient; 0 for m < 0."""
+    top, inverse = [1], [1] + [0] * max(ms)
+    for p in tenths:
+        for _ in range(n):  # times (p + 10z)
+            top = [p * a + 10 * b for a, b in zip(top + [0], [0] + top)]
+        series = [(-p) ** j * math.comb(n - 1 + j, j) for j in range(len(inverse))]
+        inverse = [sum(inverse[i] * series[j - i] for i in range(j + 1)) for j in range(len(inverse))]
     return [
-        sum(top[j] * alt[m - j] for j in range(min(n, m) + 1)) / 2 ** (n + m) if m >= 0 else 0.0
+        sum(top[l] * inverse[m - l] * 10**l for l in range(min(m, len(top) - 1) + 1))
+        / 10 ** (n * len(tenths) + m) if m >= 0 else 0.0
         for m in ms
     ]
 
@@ -173,8 +180,19 @@ def test_table_matches_exact_oracle_off_the_grid():
     f = TrigSymbol.blaschke([0.5])
     E = unit_modulus_set(f.evaluate_on_grid(4096), 1e-9)
     table = compute_b_table(f, E, (1,), (1, 200), 4)
-    exact = [blaschke_half_exact(n, [n - k for k in table.k_values]) for n in range(1, 201)]
+    exact = [blaschke_exact([5], n, [n - k for k in table.k_values]) for n in range(1, 201)]
     assert np.abs(table.values - np.array(exact)).max() <= 1e-13
+
+
+def test_blaschke_two_matches_exact_oracle_off_the_grid():
+    """The same oracle for the blaschke-two preset, zeros 0.5 and -0.3 (as floats,
+    -0.3 is 1.1e-17 off -3/10, far below the bound), on rows up to n = 200."""
+    cfg = preset_symbol("blaschke-two")
+    E = unit_modulus_set(cfg.symbol.evaluate_on_grid(4096), 1e-9)
+    table = compute_b_table(cfg.symbol, E, cfg.nu, (1, 200), 4)
+    for n in (1, 2, 3, 17, 64, 199, 200):
+        exact = blaschke_exact([5, -3], n, [n - k for k in table.k_values])
+        assert np.abs(table.values[n - 1] - np.array(exact)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n, k", [(1, 0), (2, -3), (16, 3), (40, 1), (2, 3)])
@@ -182,7 +200,7 @@ def test_identity_matches_exact_oracle_beyond_pair_cap(n, k):
     """On 2^16 cells, far past the pair-grid checks' 2048, both sides of
     identity equal |b_{n,n-k}|^2 of the exact oracle; n - k < 0 gives 0."""
     (rep,) = identity_check(TrigSymbol.blaschke([0.5]), (1,), [n], [k], 2**16)
-    want = blaschke_half_exact(n, [n - k])[0] ** 2
+    want = blaschke_exact([5], n, [n - k])[0] ** 2
     assert rep.passed
     assert abs(rep.lhs - want) <= 1e-13
     assert abs(rep.rhs - want) <= 1e-13

@@ -70,10 +70,10 @@ def test_public_functions_are_reached():
     assert unreached == []
 
 
-# Imported only so that perfbench/tracing.py can wrap them by name at these
-# sites.  When the tracer stops naming them, the imports go and so does this
-# allowlist: the test fails while either entry is used or gone.
-TRACER_HOOKS = {("coeffs.py", "csum_rows"), ("symbols.py", "csum")}
+# Imported only so that perfbench/tracing.py can wrap it by name at this
+# site.  When the tracer stops naming it, the import goes and so does this
+# allowlist: the test fails while the entry is used or gone.
+TRACER_HOOKS = {("coeffs.py", "csum_rows")}
 
 
 def test_imports_are_used():

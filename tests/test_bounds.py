@@ -15,7 +15,6 @@ from watlab.bounds import (
     check_weighted_series,
     identity_check,
     log_integral_bound_check,
-    log_modulus_integral,
     szego_check,
     theorem_constant,
 )
@@ -167,7 +166,7 @@ def test_szego_blaschke(neg_halfline, blaschke_half):
 def test_log_modulus_integral_refuses_zero_constant():
     """log|0| is -inf everywhere: no finite integral to report."""
     with pytest.raises(HypothesisViolation, match="not integrable"):
-        log_modulus_integral(TrigSymbol.constant(0), 64)
+        TrigSymbol.constant(0).log_mean(64)
 
 
 def test_szego_random_polynomials(neg_halfline):
@@ -197,7 +196,7 @@ def test_szego_hypothesis_gates(neg_halfline):
 
 
 def test_log_modulus_integral_equality_case():
-    val, method, _ = log_modulus_integral(EQUALITY_SYMBOL, 256)
+    val, method, _ = EQUALITY_SYMBOL.log_mean(256)
     assert method == "roots"
     assert val == pytest.approx(-math.log(2), abs=1e-12)
 
@@ -220,7 +219,7 @@ def test_jensen_root_on_circle_splits_no_panel(terms):
     crossing the circle from node to node: no panel is cut, and the rule is the mean
     of one Jensen slice per node of the grid's first axis."""
     f = TrigSymbol.trig_polynomial(2, terms)
-    val, method, nodes = log_modulus_integral(f, [64, 8])
+    val, method, nodes = f.log_mean([64, 8])
     assert (method, nodes) == ("jensen", 64)
     assert val == pytest.approx(math.log(abs(f.coefficient_at_zero())), abs=1e-7)
 
@@ -230,10 +229,10 @@ def test_jensen_top_term_that_cancels():
     0 at x = 0, leaves every slice of full degree; a top term that cancels at a
     node all the same (x1 = x2 on equal axes) is refused, not divided by."""
     f = TrigSymbol.trig_polynomial(2, {(0, 0): 0.5, (0, 1): 0.25, (1, 1): -0.25})
-    assert log_modulus_integral(f, [8, 4])[0] == pytest.approx(math.log(0.5), abs=1e-15)
+    assert f.log_mean([8, 4])[0] == pytest.approx(math.log(0.5), abs=1e-15)
     g = TrigSymbol.trig_polynomial(3, {(0, 0, 0): 0.25, (0, 0, 1): 0.25, (1, -1, 1): -0.25})
     with pytest.raises(SymbolError, match="top term along the last axis cancels"):
-        log_modulus_integral(g, [8, 8, 4])
+        g.log_mean([8, 8, 4])
 
 
 def test_jensen_smyth_known_answer():
@@ -242,7 +241,7 @@ def test_jensen_smyth_known_answer():
     where the panels are cut."""
     f = TrigSymbol.trig_polynomial(2, {(0, 0): 1 / 3, (1, 0): 1 / 3, (0, 1): 1 / 3})
     for grid, panels in (([4, 4], 1 + 2), ([256, 4], 16 + 2)):
-        val, method, nodes = log_modulus_integral(f, grid)
+        val, method, nodes = f.log_mean(grid)
         assert (method, nodes) == ("jensen", 16 * panels)
         assert val == pytest.approx(0.3230659472194505 - math.log(3), abs=1e-13)
 
@@ -253,7 +252,7 @@ def test_jensen_d3_known_answer():
     f = TrigSymbol.trig_polynomial(3, {(0, 0, 0): 0.25, (1, 0, 0): 0.25,
                                        (0, 1, 0): 0.25, (0, 0, 1): 0.25})
     zeta3 = 1.2020569031595942
-    val, method, nodes = log_modulus_integral(f, [64, 64, 4])
+    val, method, nodes = f.log_mean([64, 64, 4])
     assert (method, nodes) == ("jensen", 64**2)
     assert val == pytest.approx(7 * zeta3 / (2 * math.pi**2) - math.log(4), abs=1e-6)
 
@@ -265,15 +264,15 @@ def test_jensen_product_is_sum_of_factors():
     it is off by 1.4e-14, two 16-point Gauss-Legendre panels by 1e-9."""
     p = {0: 0.5, 1: 0.3, 2: 0.1}
     q = {0: 0.6, 1: -0.2j, 3: 0.1}
-    one = {name: log_modulus_integral(TrigSymbol.trig_polynomial(1, {(j,): c for j, c in d.items()}), 2)
+    one = {name: TrigSymbol.trig_polynomial(1, {(j,): c for j, c in d.items()}).log_mean(2)
            for name, d in (("p", p), ("q", q))}
     assert one["p"][1] == one["q"][1] == "roots"
     pq = TrigSymbol.trig_polynomial(2, {(i, j): a * b for i, a in p.items() for j, b in q.items()})
     for g in (32, 256):
-        val, _, nodes = log_modulus_integral(pq, [g, 8])
+        val, _, nodes = pq.log_mean([g, 8])
         assert nodes == g and val == pytest.approx(one["p"][0] + one["q"][0], abs=1e-13)
     p_only = TrigSymbol.trig_polynomial(2, {(i, 0): a for i, a in p.items()})
-    assert log_modulus_integral(p_only, [256, 2])[0] == pytest.approx(one["p"][0], abs=1e-14)
+    assert p_only.log_mean([256, 2])[0] == pytest.approx(one["p"][0], abs=1e-14)
 
 
 # -- double-integral checks --------------------------------------------------

@@ -15,7 +15,7 @@ from watlab.bounds import ABEL_BASE_TOL, BoundReport
 from watlab.coeffs import compute_b_table
 from watlab.config import CHECK_PARAMS, ConfigError, RunConfig
 from watlab.presets import PRESET_NAMES, preset_config
-from watlab.symbols import ResolutionError, unit_modulus_set
+from watlab.symbols import ResolutionError, TrigSymbol, unit_modulus_set
 
 
 def small_preset(**overrides):
@@ -559,6 +559,32 @@ ARC_CONFIG = {
 }
 
 
+# RunConfig.sha256 of each preset and of ARC_CONFIG: the canonical config
+# bytes, symbol.describe() included, that every manifest records.
+CONFIG_SHA256 = {
+    "blaschke-half": "349055b539f14e7e0feb4877618137347e8d19fb5ec2eb21de48758722bfc593",
+    "blaschke-two": "5496354ab1eb76ed21e8cbc3bc710acc1d0a14078184abeaf5b1109c8869cd2a",
+    "constant": "a800881570cdec64bf18bd74e06681c6d73cf8f58ecf4c7e94acf89bf7c58945",
+    "szego-equality": "1d0c6458bd5ebe3d69b0702c34c13821b5d195efc69415839b6b07c18a04e411",
+    "torus2-degenerate": "a1a60664025da0071f3ee530e1ea156bd13287b7b0537ede424b1746d5cc008d",
+    "arc": "a01d2225bcf471539ac26b3516c55c4f1c8c785c34f3569bf7b4c9b2b14d5438",
+}
+
+
+def test_config_bytes_are_pinned():
+    """The config hashes and each family's describe() stay byte for byte what
+    they were before the symbol families became classes."""
+    docs = {**{name: preset_config(name) for name in PRESET_NAMES}, "arc": ARC_CONFIG}
+    assert {name: RunConfig.from_dict(doc).sha256() for name, doc in docs.items()} == CONFIG_SHA256
+    assert TrigSymbol.trig_polynomial(2, {(0, 0): 0.5, (1, -1): 0.25j}).describe() == {
+        "dimension": 2, "spectrum": [{"index": [0, 0], "re": 0.5, "im": 0.0},
+                                     {"index": [1, -1], "re": 0.0, "im": 0.25}]}
+    assert TrigSymbol.blaschke([0.5, -0.3 + 0.1j]).describe() == {
+        "dimension": 1, "family": "blaschke", "params": {"zeros": [[0.5, 0.0], [-0.3, 0.1]]}}
+    assert TrigSymbol.constant(0.6j, dimension=2).describe() == {
+        "dimension": 2, "family": "constant", "params": {"value": [0.0, 0.6]}}
+
+
 def test_partial_e_checks_pass(tmp_path, capsys):
     """The table, identity and abel integrate the same function on a
     tolerance-widened E, so their two sides agree there."""
@@ -635,8 +661,9 @@ def _spectrum_term(term):
     return doc
 
 
-# Configs with a key that no object of theirs takes, or a symbol given two ways,
-# with the message they are refused with.
+# Configs with a key that no object of theirs takes, a symbol given two ways, one
+# of no known family, or one missing the field its family or term needs, with the
+# message they are refused with.
 UNKNOWN_FIELDS = [
     pytest.param(small_preset(extra=1), "unknown config fields: ['extra']", id="config-key"),
     pytest.param(_spectrum_term({"index": [1], "re": 0.5, "imag": 0.3}),
@@ -651,6 +678,15 @@ UNKNOWN_FIELDS = [
                  "unknown symbol.params fields: ['value']", id="params-key"),
     pytest.param(small_preset(halfspace={"axis_order": [0], "axis_signs": [1]}),
                  "unknown halfspace fields: ['axis_signs']", id="halfspace-key"),
+    pytest.param(_family("constant"), "symbol.params needs 'value'", id="constant-no-value"),
+    pytest.param(_family("blaschke"), "symbol.params needs 'zeros'", id="blaschke-no-zeros"),
+    pytest.param(_spectrum_term({"re": 0.5}), "symbol.spectrum term needs 'index'", id="term-no-index"),
+    pytest.param(_family("outer", zeros=[[0.5, 0.0]]),
+                 "unknown symbol family 'outer'; known: blaschke, constant", id="family-outer"),
+    pytest.param(small_preset(symbol={"dimension": 1}),
+                 "unknown symbol family None; known: blaschke, constant", id="family-none"),
+    pytest.param(_family(["blaschke"], zeros=[[0.5, 0.0]]),
+                 "unknown symbol family ['blaschke']; known: blaschke, constant", id="family-list"),
 ]
 
 
